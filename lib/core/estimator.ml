@@ -7,6 +7,7 @@ type task = {
   wcet_ff : int;
   wcet_rung : Robust.Rung.t;
   identity : (string * string) list;
+  flow : Ipet.Model.t option;
 }
 
 type estimate = {
@@ -77,6 +78,7 @@ let prepare ~program ~config ?(engine = `Path) ?(exact = false) ?budget ?store (
   let ctx = Cache_analysis.Context.make ~graph ~loops ~config in
   let chmc = Cache_analysis.Chmc.analyze ~ctx ~graph ~loops ~config () in
   let identity = identity_of ~program ~config in
+  let flow = match engine with `Ilp -> Some (Ipet.Model.build graph loops) | `Path -> None in
   let wcet_ff, wcet_rung =
     cached ~store ~budget
       ~parts:
@@ -98,11 +100,13 @@ let prepare ~program ~config ?(engine = `Path) ?(exact = false) ?budget ?store (
             | Some rung -> (wcet, rung)
             | None -> Store.Wire.malformed "wcet artifact: unknown rung tag"))
       (fun () ->
-        match Ipet.Wcet.compute_result ~graph ~loops ~chmc ~config ~engine ~exact ?budget () with
+        match
+          Ipet.Wcet.compute_result ~graph ~loops ~chmc ~config ~engine ~exact ?budget ?model:flow ()
+        with
         | Ok (result, rung) -> (result.Ipet.Wcet.wcet, rung)
         | Error e -> Robust.Pwcet_error.raise_error e)
   in
-  { graph; loops; config; ctx; chmc; wcet_ff; wcet_rung; identity }
+  { graph; loops; config; ctx; chmc; wcet_ff; wcet_rung; identity; flow }
 
 (* The FMM (and everything upstream of it) is pfail-independent: pfail
    only enters through the binomial reweighting of the per-set penalty
@@ -123,7 +127,7 @@ let compute_fmm task ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () =
     ~decode:(Fmm.of_wire ~config:task.config ~mechanism)
     (fun () ->
       Fmm.compute ~graph:task.graph ~loops:task.loops ~config:task.config ~mechanism ~engine
-        ~exact ~jobs ~impl ~ctx:task.ctx ?budget ~baseline:task.chmc ())
+        ~exact ~jobs ~impl ~ctx:task.ctx ?budget ~baseline:task.chmc ?model:task.flow ())
 
 (* Multi-mechanism FMM with store read-through: cached tables are
    served per mechanism, the misses are computed together through
@@ -166,7 +170,7 @@ let fmm_grid task ~mechanisms ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?(i
     | _ ->
       Fmm.compute_multi ~graph:task.graph ~loops:task.loops ~config:task.config
         ~mechanisms:missing ~engine ~exact ~jobs ~impl ~ctx:task.ctx ?budget
-        ~baseline:task.chmc ()
+        ~baseline:task.chmc ?model:task.flow ()
   in
   (match store with
   | Some st when budget = None ->

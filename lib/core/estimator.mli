@@ -24,6 +24,10 @@ type task = private {
       (** labelled artifact-key components pinning everything the
           analysis results depend on: code version, program content
           digest, cache geometry and latencies *)
+  flow : Ipet.Model.t option;
+      (** the IPET flow model with its phase-1 basis ({!Ipet.Model.build}),
+          built once when prepared for the ILP engine and shared
+          read-only by the fault-free WCET LP and every FMM cell *)
 }
 
 type estimate = private {

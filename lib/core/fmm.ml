@@ -37,7 +37,8 @@ let pick_rung ~value ~rung ~prev_value ~prev_rung =
    comparison). Self-contained (no mutable state outside the row) so
    rows can run on separate domains. Returns the miss row and the
    per-cell degradation rungs. *)
-let compute_row ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~baseline ~srb set =
+let compute_row ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~model ~baseline ~srb
+    set =
   let ways = config.Cache.Config.ways in
   let row = Array.make (ways + 1) 0 in
   let rungs = Array.make (ways + 1) Rung.Exact in
@@ -67,7 +68,7 @@ let compute_row ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~ba
         let v =
           match
             Ipet.Delta.extra_misses_result ~graph ~loops ~config ~baseline ~degraded
-              ~sets:[ set ] ~engine ~exact ?budget ()
+              ~sets:[ set ] ~engine ~exact ?budget ?model ()
           with
           | Ok v -> v
           | Error e -> E.raise_error e
@@ -90,8 +91,8 @@ let compute_row ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~ba
 (* One FMM row, sliced engine: a condensed per-set fixpoint reused
    across fault counts, with saturation early-exit. Classification-
    identical to [compute_row] (pinned by test/test_sliced.ml). *)
-let compute_row_sliced ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~baseline ~srb
-    set =
+let compute_row_sliced ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~model
+    ~baseline ~srb set =
   let ways = config.Cache.Config.ways in
   let row = Array.make (ways + 1) 0 in
   let rungs = Array.make (ways + 1) Rung.Exact in
@@ -127,7 +128,7 @@ let compute_row_sliced ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~bud
           let v =
             match
               Ipet.Delta.extra_misses_result ~graph ~loops ~config ~baseline ~degraded
-                ~sets:[ set ] ~ctx ~engine ~exact ?budget ()
+                ~sets:[ set ] ~ctx ~engine ~exact ?budget ?model ()
             with
             | Ok v -> v
             | Error e -> E.raise_error e
@@ -171,8 +172,8 @@ let structural_row ~ctx ~graph ~loops ~config ~baseline ~ways set =
    mechanism's tail, bit-identically to running each mechanism alone:
    the tails read the prefix's signature memo exactly where a
    single-mechanism run would, and never write it. *)
-let compute_rows_multi ~ctx ~graph ~loops ~config ~mechanisms ~engine ~exact ~budget ~baseline
-    ~srb ~impl set =
+let compute_rows_multi ~ctx ~graph ~loops ~config ~mechanisms ~engine ~exact ~budget ~model
+    ~baseline ~srb ~impl set =
   let ways = config.Cache.Config.ways in
   let row = Array.make (ways + 1) 0 in
   let rungs = Array.make (ways + 1) Rung.Exact in
@@ -181,7 +182,7 @@ let compute_rows_multi ~ctx ~graph ~loops ~config ~mechanisms ~engine ~exact ~bu
     match
       Ipet.Delta.extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets:[ set ]
         ?ctx:(if with_ctx then Some ctx else None)
-        ~engine ~exact ?budget ()
+        ~engine ~exact ?budget ?model ()
     with
     | Ok v -> v
     | Error e -> E.raise_error e
@@ -256,8 +257,17 @@ let compute_rows_multi ~ctx ~graph ~loops ~config ~mechanisms ~engine ~exact ~bu
       (mechanism, row_m, rungs_m))
     mechanisms
 
+(* The ILP engine's per-program flow model, built here, before any
+   worker domain starts, unless the caller brought one; the domains
+   only read it. *)
+let flow_model ~graph ~loops ~engine model =
+  match (engine, model) with
+  | `Ilp, None -> Some (Ipet.Model.build graph loops)
+  | `Ilp, Some _ -> model
+  | `Path, _ -> None
+
 let compute ~graph ~loops ~config ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1)
-    ?(impl = `Sliced) ?ctx ?budget ?baseline () =
+    ?(impl = `Sliced) ?ctx ?budget ?baseline ?model () =
   let n_sets = config.Cache.Config.sets and ways = config.Cache.Config.ways in
   let ctx = match ctx with Some c -> c | None -> Context.make ~graph ~loops ~config in
   let baseline =
@@ -279,12 +289,15 @@ let compute ~graph ~loops ~config ~mechanism ?(engine = `Path) ?(exact = false) 
          (fun s -> Array.length ctx.Context.touching.(s) > 0)
          (List.init n_sets Fun.id))
   in
+  let model = flow_model ~graph ~loops ~engine model in
   let row =
     match impl with
-    | `Naive -> compute_row ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~baseline ~srb
-    | `Sliced ->
-      compute_row_sliced ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~baseline
+    | `Naive ->
+      compute_row ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~model ~baseline
         ~srb
+    | `Sliced ->
+      compute_row_sliced ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~model
+        ~baseline ~srb
   in
   let deadline = match budget with Some b -> b.Robust.Budget.deadline | None -> None in
   let rows = Parallel.Pool.map_result ?deadline ~jobs row used_sets in
@@ -304,7 +317,7 @@ let compute ~graph ~loops ~config ~mechanism ?(engine = `Path) ?(exact = false) 
   { misses; provenance; errors = List.rev !errors; config; mechanism }
 
 let compute_multi ~graph ~loops ~config ~mechanisms ?(engine = `Path) ?(exact = false)
-    ?(jobs = 1) ?(impl = `Sliced) ?ctx ?budget ?baseline () =
+    ?(jobs = 1) ?(impl = `Sliced) ?ctx ?budget ?baseline ?model () =
   match mechanisms with
   | [] -> []
   | _ ->
@@ -326,9 +339,10 @@ let compute_multi ~graph ~loops ~config ~mechanisms ?(engine = `Path) ?(exact = 
            (List.init n_sets Fun.id))
     in
     let deadline = match budget with Some b -> b.Robust.Budget.deadline | None -> None in
+    let model = flow_model ~graph ~loops ~engine model in
     let rows =
       Parallel.Pool.map_result ?deadline ~jobs
-        (compute_rows_multi ~ctx ~graph ~loops ~config ~mechanisms ~engine ~exact ~budget
+        (compute_rows_multi ~ctx ~graph ~loops ~config ~mechanisms ~engine ~exact ~budget ~model
            ~baseline ~srb ~impl)
         used_sets
     in

@@ -32,6 +32,7 @@ val compute :
   ?ctx:Cache_analysis.Context.t ->
   ?budget:Robust.Budget.t ->
   ?baseline:Cache_analysis.Chmc.t ->
+  ?model:Ipet.Model.t ->
   unit ->
   t
 (** Runs the fault-free analysis once, then one degraded analysis +
@@ -68,7 +69,12 @@ val compute :
     [graph]/[loops]/[config] (the same value
     [Cache_analysis.Chmc.analyze ~ctx ~graph ~loops ~config ()]
     returns); computed on the fly when absent. The analysis is
-    deterministic, so passing it is a pure recompute-skip. *)
+    deterministic, so passing it is a pure recompute-skip.
+
+    [model] is the ILP engine's flow model for [graph]/[loops]
+    ({!Ipet.Model.build}: flow system plus its phase-1 basis), shared
+    read-only by every cell on every domain; built once, before the
+    workers start, when absent. Ignored by the path engine. *)
 
 val compute_multi :
   graph:Cfg.Graph.t ->
@@ -82,6 +88,7 @@ val compute_multi :
   ?ctx:Cache_analysis.Context.t ->
   ?budget:Robust.Budget.t ->
   ?baseline:Cache_analysis.Chmc.t ->
+  ?model:Ipet.Model.t ->
   unit ->
   (Mechanism.t * t) list
 (** One map per requested mechanism (in [mechanisms] order, duplicates

@@ -17,11 +17,13 @@ let compute ~graph ~loops ~config ~pbf ?(engine = `Path) ?(max_points = 65536) (
   let p_dead = pwf.(ways) in
   let ctx = Cache_analysis.Context.make ~graph ~loops ~config in
   let baseline = Chmc.analyze ~ctx ~graph ~loops ~config () in
+  let model = match engine with `Ilp -> Some (Ipet.Model.build graph loops) | `Path -> None in
   let fmm_none =
-    Fmm.compute ~graph ~loops ~config ~mechanism:Mechanism.No_protection ~engine ~ctx ()
+    Fmm.compute ~graph ~loops ~config ~mechanism:Mechanism.No_protection ~engine ~ctx ?model ()
   in
   let fmm_srb =
-    Fmm.compute ~graph ~loops ~config ~mechanism:Mechanism.Shared_reliable_buffer ~engine ~ctx ()
+    Fmm.compute ~graph ~loops ~config ~mechanism:Mechanism.Shared_reliable_buffer ~engine ~ctx
+      ?model ()
   in
   let used = Array.make n_sets false in
   Chmc.fold_refs
@@ -39,7 +41,7 @@ let compute ~graph ~loops ~config ~pbf ?(engine = `Path) ?(max_points = 65536) (
         if Cache_analysis.Srb_analysis.always_hit srb ~node ~offset then Chmc.Always_hit
         else Chmc.Always_miss
       in
-      Ipet.Delta.extra_misses ~graph ~loops ~config ~baseline ~degraded ~sets ~ctx ~engine ()
+      Ipet.Delta.extra_misses ~graph ~loops ~config ~baseline ~degraded ~sets ~ctx ~engine ?model ()
     end
   in
   let excl_misses = Array.init n_sets (fun set -> exclusive_misses [ set ]) in

@@ -25,10 +25,6 @@ type estimate = {
   penalty : Dist.t;
 }
 
-let path_scope = function
-  | Chmc.Global -> PE.Whole_program
-  | Chmc.Loop header -> PE.Loop_scope header
-
 (* Per-execution data-fetch cost and one-shots of one node. *)
 let data_node_costs ~graph ~dchmc ~dconfig u =
   let node = Cfg.Graph.node graph u in
@@ -60,7 +56,7 @@ let combined_wcet ~graph ~loops ~iconfig ~dconfig ~ichmc ~dchmc =
       let dcost, dshots = data_node_costs ~graph ~dchmc ~dconfig u in
       cost.(u) <- icost + dcost;
       List.iter
-        (fun (scope, amount) -> one_shots := (path_scope scope, amount) :: !one_shots)
+        (fun (scope, amount) -> one_shots := (Ipet.Model.path_scope scope, amount) :: !one_shots)
         (ishots @ dshots)
     end
   done;
@@ -110,7 +106,7 @@ let data_extra_misses ~task ~degraded ~set =
             match (degr, base) with
             | Chmc.First_miss scope, (Chmc.Always_hit | Chmc.First_miss _) ->
               any := true;
-              one_shots := (path_scope scope, 1) :: !one_shots
+              one_shots := (Ipet.Model.path_scope scope, 1) :: !one_shots
             | _ -> ()
           end
         end

@@ -1,5 +1,4 @@
 module Rat = Numeric.Rat
-module Bigint = Numeric.Bigint
 
 type result =
   | Optimal of Simplex.solution
@@ -10,28 +9,12 @@ type status =
   | Finished of result
   | Exhausted
 
-(* A subproblem is the base LP plus variable bound cuts. *)
-type cut = {
-  var : Lp.var;
-  relation : Lp.relation;
-  bound : Bigint.t;
-}
-
 exception Out_of_budget
 
-let rebuild base cuts =
-  let lp = Lp.create () in
-  for _ = 1 to Lp.num_vars base do
-    ignore (Lp.add_var lp ())
-  done;
-  List.iter
-    (fun (c : Lp.constr) -> Lp.add_constr lp ~name:c.Lp.cname c.Lp.coeffs c.Lp.relation c.Lp.rhs)
-    (Lp.constraints base);
-  List.iter
-    (fun cut -> Lp.add_constr lp [ (cut.var, Rat.one) ] cut.relation (Rat.of_bigint cut.bound))
-    cuts;
-  Lp.set_objective lp (Lp.objective base);
-  lp
+(* A subproblem is the base LP plus variable bound cuts, appended as
+   rows to a copy of the base system's phase-1 basis. *)
+let cut var relation bound =
+  { Lp.cname = "cut"; coeffs = [ (var, Rat.one) ]; relation; rhs = Rat.of_bigint bound }
 
 let first_fractional base (sol : Simplex.solution) =
   let n = Array.length sol.Simplex.values in
@@ -43,21 +26,24 @@ let first_fractional base (sol : Simplex.solution) =
   in
   go 0
 
-let solve_within ?(max_nodes = Robust.Budget.default_ilp_nodes) ?deadline base =
+let solve_within ?(max_nodes = Robust.Budget.default_ilp_nodes) ?deadline ?start base =
   let incumbent = ref None in
   let nodes = ref 0 in
   let root_unbounded = ref false in
   let deadline_passed () =
     match deadline with
     | None -> false
-    (* Poll the clock only every 32 nodes: gettimeofday per node would
-       dominate the tiny LP re-solves of IPET trees. *)
+    (* Poll the monotonic clock only every 32 nodes: a clock read per
+       node would dominate the tiny LP re-solves of IPET trees. *)
     | Some d -> !nodes land 31 = 0 && Robust.Budget.now () > d
   in
-  let rec branch cuts =
+  let rec branch start cuts =
     incr nodes;
     if !nodes > max_nodes || deadline_passed () then raise Out_of_budget;
-    match Simplex.solve (rebuild base cuts) with
+    let relaxation =
+      match start with Some start -> Simplex.solve ~start ~cuts base | None -> Simplex.Infeasible
+    in
+    match relaxation with
     | Simplex.Infeasible -> ()
     | Simplex.Unbounded ->
       (* Only possible at the root: cuts merely restrict the region. *)
@@ -72,9 +58,8 @@ let solve_within ?(max_nodes = Robust.Budget.default_ilp_nodes) ?deadline base =
         match first_fractional base sol with
         | None -> incumbent := Some sol
         | Some (v, value) ->
-          branch ({ var = v; relation = Lp.Le; bound = Rat.floor value } :: cuts);
-          if not !root_unbounded then
-            branch ({ var = v; relation = Lp.Ge; bound = Rat.ceil value } :: cuts)
+          branch start (cut v Lp.Le (Rat.floor value) :: cuts);
+          if not !root_unbounded then branch start (cut v Lp.Ge (Rat.ceil value) :: cuts)
       end
   in
   (* One unconditional clock read at entry: an already-expired deadline
@@ -85,7 +70,10 @@ let solve_within ?(max_nodes = Robust.Budget.default_ilp_nodes) ?deadline base =
   in
   if expired_at_entry then Exhausted
   else
-    match branch [] with
+    (* Without a caller's basis, phase 1 on the base system runs once
+       here instead of once per node; [None] means it is infeasible. *)
+    let start = match start with Some _ -> start | None -> Simplex.start base in
+    match branch start [] with
     | () ->
       Finished
         (if !root_unbounded then Unbounded

@@ -3,7 +3,11 @@
     Depth-first search branching on the first fractional
     integer-marked variable, pruning with the incumbent objective.
     IPET systems have near-integral relaxations, so the tree is almost
-    always trivial. *)
+    always trivial.
+
+    Every node solves the base LP with its bound cuts appended to a copy
+    of one phase-1 basis of the base system ({!Simplex.start}), so only
+    a violated cut needs a (short) phase 1. *)
 
 type result =
   | Optimal of Simplex.solution
@@ -19,11 +23,15 @@ type status =
           soundness forbids); callers degrade to the LP relaxation
           instead (see {!Solver.bounded_objective}). *)
 
-val solve_within : ?max_nodes:int -> ?deadline:float -> Lp.t -> status
+val solve_within :
+  ?max_nodes:int -> ?deadline:float -> ?start:Simplex.start -> Lp.t -> status
 (** Budgeted search: at most [max_nodes] subproblems (default
     {!Robust.Budget.default_ilp_nodes}) and, when [deadline] (absolute,
-    {!Robust.Budget.now} scale) is given, stops once it passes. Never
-    raises on exhaustion. *)
+    {!Robust.Budget.now} scale) is given, stops once it passes; the
+    monotonic clock is read at entry and then every 32 nodes. [start]
+    is a phase-1 basis of a prefix of the LP's system (see
+    {!Simplex.solve}); without it the search builds one for the whole
+    system. Never raises on exhaustion. *)
 
 val solve : ?max_nodes:int -> Lp.t -> result
 (** Compatibility wrapper over {!solve_within}.

@@ -24,6 +24,10 @@ type t = {
 
 let create () = { names = []; integer = []; count = 0; constrs = []; objective = [] }
 
+(* The fields are immutable lists, so a copy shares them and each side
+   conses its own additions. *)
+let copy t = { t with count = t.count }
+
 let add_var t ?name ?(integer = true) () =
   let id = t.count in
   let name = match name with Some n -> n | None -> Printf.sprintf "x%d" id in

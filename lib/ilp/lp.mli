@@ -24,6 +24,13 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent model with the same variables, constraints and
+    objective. O(1): both share the existing constraint records, so the
+    copy's system physically extends the original's (what
+    {!Simplex.solve} [~start] requires). Reading a model is safe from
+    several domains; keep additions to one copy per domain. *)
+
 val add_var : t -> ?name:string -> ?integer:bool -> unit -> var
 (** A fresh non-negative variable (default: integer). *)
 

@@ -70,17 +70,17 @@ let ceil_int (r : Rat.t) = Bigint.to_int_exn (Rat.ceil r)
 (* Rung 2 of the ladder: the LP relaxation. For a maximisation ILP the
    relaxation optimum always dominates the integer optimum, so its
    ceiling is a sound (looser) WCET-style bound. *)
-let relaxed_bound lp =
-  match Simplex.solve lp with
+let relaxed_bound ?start lp =
+  match Simplex.solve ?start lp with
   | Simplex.Optimal sol -> Ok { value = ceil_int sol.Simplex.objective; rung = Rung.Relaxed }
   | Simplex.Infeasible -> Error (E.Infeasible "LP relaxation is infeasible")
   | Simplex.Unbounded -> Error (E.Unbounded "LP relaxation is unbounded")
 
-let bounded_objective ?(budget = Budget.unlimited) ?(exact = true) lp =
-  if not exact then relaxed_bound lp
+let bounded_objective ?(budget = Budget.unlimited) ?(exact = true) ?start lp =
+  if not exact then relaxed_bound ?start lp
   else begin
     let max_nodes = Option.value budget.Budget.ilp_nodes ~default:Budget.default_ilp_nodes in
-    match Branch_bound.solve_within ~max_nodes ?deadline:budget.Budget.deadline lp with
+    match Branch_bound.solve_within ~max_nodes ?deadline:budget.Budget.deadline ?start lp with
     | Branch_bound.Finished (Branch_bound.Optimal sol) ->
       Ok { value = ceil_int sol.Simplex.objective; rung = Rung.Exact }
     | Branch_bound.Finished Branch_bound.Infeasible -> Error (E.Infeasible "ILP is infeasible")
@@ -88,5 +88,5 @@ let bounded_objective ?(budget = Budget.unlimited) ?(exact = true) lp =
     | Branch_bound.Exhausted ->
       (* Degrade: the exact search ran out of nodes or time; fall back
          to the (always-terminating) relaxation bound. *)
-      relaxed_bound lp
+      relaxed_bound ?start lp
   end

@@ -32,7 +32,11 @@ val maximize : ?exact:bool -> Lp.t -> result
     slightly conservative one. *)
 
 val bounded_objective :
-  ?budget:Robust.Budget.t -> ?exact:bool -> Lp.t -> (bound, Robust.Pwcet_error.t) Stdlib.result
+  ?budget:Robust.Budget.t ->
+  ?exact:bool ->
+  ?start:Simplex.start ->
+  Lp.t ->
+  (bound, Robust.Pwcet_error.t) Stdlib.result
 (** The budgeted two-rung solver ladder for maximisation ILPs:
     branch-and-bound within [budget] (node cap and deadline), degrading
     to the LP-relaxation upper bound when the budget runs out — sound
@@ -42,7 +46,9 @@ val bounded_objective :
     [Unbounded]); the third, LP-free rung ([Structural]) is assembled
     by the IPET layer, which owns the loop-bound information
     ({!Ipet.Wcet.structural_bound}, {!Ipet.Delta.structural_extra_misses}).
-    Never raises. *)
+    [start] seeds every LP solve with a phase-1 basis of a prefix of the
+    LP's system (see {!Simplex.solve}); the bound is the same with or
+    without it. Never raises. *)
 
 val objective_upper_bound : Lp.t -> int
 (** Smallest integer [>=] the relaxation optimum: the sound WCET-style

@@ -10,17 +10,6 @@ let per_exec_miss = function
   | Chmc.Always_miss | Chmc.Not_classified -> 1
   | Chmc.Always_hit | Chmc.First_miss _ -> 0
 
-let scope_cap model loops = function
-  | Chmc.Global -> ([], 1)
-  | Chmc.Loop header -> (
-    match List.find_opt (fun (l : Cfg.Loop.loop) -> l.Cfg.Loop.header = header) loops with
-    | Some l -> Model.entry_terms_of_loop model l
-    | None -> ([], 1))
-
-let path_scope = function
-  | Chmc.Global -> Path_engine.Whole_program
-  | Chmc.Loop header -> Path_engine.Loop_scope header
-
 (* Per-node delta in misses-per-execution and the one-shot deltas, for
    references mapping to a set selected by [member]. *)
 let node_delta ~graph ~baseline ~degraded ~member u =
@@ -89,51 +78,35 @@ let structural_extra_misses ~graph ~loops ~config ~baseline ~sets ?ctx () =
   let candidates = candidate_nodes ~graph ~sets ?ctx () in
   structural_of_candidates ~graph ~loops ~baseline ~member candidates
 
-let extra_misses_ilp ~graph ~loops ~baseline ~degraded ~member ~candidates ~exact ?budget () =
-  let model = Model.build graph loops in
-  let lp = Model.lp model in
-  let coeffs : (Lp.var, int) Hashtbl.t = Hashtbl.create 64 in
-  let constant = ref 0 in
-  let add_terms terms const factor =
-    List.iter
-      (fun (v, c) ->
-        Hashtbl.replace coeffs v (Option.value ~default:0 (Hashtbl.find_opt coeffs v) + (c * factor)))
-      terms;
-    constant := !constant + (const * factor)
-  in
-  let any_delta = ref false in
-  List.iter
+(* The cell's nonzero per-node deltas; candidates are reachable. *)
+let node_costs ~graph ~baseline ~degraded ~member candidates =
+  List.filter_map
     (fun u ->
-      if Model.reachable model u then begin
-        let per_exec, shots = node_delta ~graph ~baseline ~degraded ~member u in
-        List.iteri
-          (fun idx (scope, amount) ->
-            any_delta := true;
-            let y =
-              Model.add_capped_counter model
-                ~name:(Printf.sprintf "dfm_%d_%d" u idx)
-                ~node:u ~cap:(scope_cap model loops scope)
-            in
-            add_terms [ (y, 1) ] 0 amount)
-          shots;
-        if per_exec > 0 then begin
-          any_delta := true;
-          let terms, const = Model.execution_terms model u in
-          add_terms terms const per_exec
-        end
-      end)
-    candidates;
-  if not !any_delta then Ok (0, Rung.Exact)
-  else begin
-    Lp.set_objective_int lp (Hashtbl.fold (fun v c acc -> (v, c) :: acc) coeffs []);
-    match Ilp.Solver.bounded_objective ?budget ~exact lp with
-    | Ok { Ilp.Solver.value; rung } -> Ok (max 0 (value + !constant), rung)
+      let per_exec, shots = node_delta ~graph ~baseline ~degraded ~member u in
+      if per_exec > 0 || shots <> [] then Some (u, per_exec, shots) else None)
+    candidates
+
+let cost_lp ~model ~config ~baseline ~degraded ~sets ?ctx () =
+  let graph = Model.graph model in
+  let member = member_of_sets ~config ~sets in
+  match node_costs ~graph ~baseline ~degraded ~member (candidate_nodes ~graph ~sets ?ctx ()) with
+  | [] -> None
+  | costs -> Some (Model.cost_lp model ~prefix:"dfm" costs)
+
+let extra_misses_ilp ~graph ~loops ~baseline ~degraded ~member ~candidates ~exact ?budget ?model
+    () =
+  match node_costs ~graph ~baseline ~degraded ~member candidates with
+  | [] -> Ok (0, Rung.Exact)
+  | costs -> (
+    let model = match model with Some m -> m | None -> Model.build graph loops in
+    let lp, constant = Model.cost_lp model ~prefix:"dfm" costs in
+    match Model.maximize model ?budget ~exact lp with
+    | Ok { Ilp.Solver.value; rung } -> Ok (max 0 (value + constant), rung)
     | Error (E.Unbounded _ | E.Budget_exhausted _) ->
       Ok
         ( structural_of_candidates ~graph ~loops ~baseline ~member candidates,
           Rung.Structural )
-    | Error e -> Error e
-  end
+    | Error e -> Error e)
 
 let extra_misses_path ~graph ~loops ~baseline ~degraded ~member ~candidates =
   let n = Cfg.Graph.node_count graph in
@@ -145,24 +118,26 @@ let extra_misses_path ~graph ~loops ~baseline ~degraded ~member ~candidates =
       let d, shots = node_delta ~graph ~baseline ~degraded ~member u in
       per_exec.(u) <- d;
       if d > 0 || shots <> [] then any_delta := true;
-      List.iter (fun (scope, amount) -> one_shots := (path_scope scope, amount) :: !one_shots) shots)
+      List.iter (fun (scope, amount) -> one_shots := (Model.path_scope scope, amount) :: !one_shots) shots)
     candidates;
   if not !any_delta then 0
   else
     Path_engine.longest ~graph ~loops ~node_cost:(fun u -> per_exec.(u)) ~one_shots:!one_shots
 
 let extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets ?ctx ?(engine = `Path)
-    ?(exact = false) ?budget () =
+    ?(exact = false) ?budget ?model () =
   let member = member_of_sets ~config ~sets in
   let candidates = candidate_nodes ~graph ~sets ?ctx () in
   match engine with
   | `Path -> Ok (extra_misses_path ~graph ~loops ~baseline ~degraded ~member ~candidates, Rung.Exact)
-  | `Ilp -> extra_misses_ilp ~graph ~loops ~baseline ~degraded ~member ~candidates ~exact ?budget ()
+  | `Ilp ->
+    extra_misses_ilp ~graph ~loops ~baseline ~degraded ~member ~candidates ~exact ?budget ?model ()
 
 let extra_misses ~graph ~loops ~config ~baseline ~degraded ~sets ?ctx ?(engine = `Path)
-    ?(exact = false) () =
+    ?(exact = false) ?model () =
   match
-    extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets ?ctx ~engine ~exact ()
+    extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets ?ctx ~engine ~exact ?model
+      ()
   with
   | Ok (v, _) -> v
   | Error e -> E.raise_error e

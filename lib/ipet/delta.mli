@@ -30,6 +30,7 @@ val extra_misses_result :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?budget:Robust.Budget.t ->
+  ?model:Model.t ->
   unit ->
   (int * Robust.Rung.t, Robust.Pwcet_error.t) Stdlib.result
 (** Upper bound (>= 0) on the number of fault-induced misses for
@@ -40,7 +41,10 @@ val extra_misses_result :
     its cost model) or the IPET ILP. [ctx] supplies precomputed
     reachability and the per-set touching-node index, so only nodes
     that can actually carry a delta are scanned — the result is
-    identical either way. [Error] only on an infeasible flow system
+    identical either way. [model] is the program's flow model
+    ({!Model.build} on the same [graph] and [loops]), shared by every
+    cell; the ILP engine builds one when it is absent and some
+    reference carries a delta. [Error] only on an infeasible flow system
     (cannot happen for models built from a real CFG). *)
 
 val extra_misses :
@@ -53,10 +57,26 @@ val extra_misses :
   ?ctx:Cache_analysis.Context.t ->
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
+  ?model:Model.t ->
   unit ->
   int
 (** Raising wrapper over {!extra_misses_result} (drops the rung).
     @raise Robust.Pwcet_error.Error on [Error] outcomes. *)
+
+val cost_lp :
+  model:Model.t ->
+  config:Cache.Config.t ->
+  baseline:Cache_analysis.Chmc.t ->
+  degraded:(node:int -> offset:int -> Cache_analysis.Chmc.classification) ->
+  sets:int list ->
+  ?ctx:Cache_analysis.Context.t ->
+  unit ->
+  (Ilp.Lp.t * int) option
+(** The ILP the [`Ilp] engine of {!extra_misses_result} solves and its
+    objective constant ({!Model.cost_lp}); the bound is
+    [max 0 (ceil optimum + constant)]. [None] when no reference changes
+    cost (the bound is then 0 with no solve). Exposed for solver
+    oracles. *)
 
 val structural_extra_misses :
   graph:Cfg.Graph.t ->

@@ -1,13 +1,16 @@
 module Lp = Ilp.Lp
+module Chmc = Cache_analysis.Chmc
 
 type t = {
-  lp : Lp.t;
+  lp : Lp.t;  (* the flow system alone: never extended in place *)
   graph : Cfg.Graph.t;
+  loops : Cfg.Loop.loop list;
   edge_vars : (int * int, Lp.var) Hashtbl.t;
   reachable : bool array;
+  start : Ilp.Simplex.start option;
 }
 
-let build graph loops =
+let flow_lp graph loops =
   let lp = Lp.create () in
   let n = Cfg.Graph.node_count graph in
   let reachable = Array.make n false in
@@ -52,7 +55,6 @@ let build graph loops =
   Lp.add_constr_int lp ~name:"sink"
     (Hashtbl.fold (fun _ v acc -> (v, 1) :: acc) exit_vars [])
     Lp.Eq 1;
-  let model = { lp; graph; edge_vars; reachable } in
   (* Loop bounds: sum(back) - bound * sum(entries) <= bound * [header=entry]. *)
   List.iter
     (fun (l : Cfg.Loop.loop) ->
@@ -69,14 +71,17 @@ let build graph loops =
         ~name:(Printf.sprintf "loop_%d" l.Cfg.Loop.header)
         (back @ entries) Lp.Le const)
     loops;
-  model
+  (lp, edge_vars, reachable)
 
-let lp t = t.lp
+let build graph loops =
+  let lp, edge_vars, reachable = flow_lp graph loops in
+  { lp; graph; loops; edge_vars; reachable; start = Ilp.Simplex.start lp }
+
 let graph t = t.graph
 let reachable t u = t.reachable.(u)
 
-let edge_var t e = Hashtbl.find t.edge_vars e
-
+(* A node's execution count as (linear terms, constant): its incoming
+   edges, plus 1 at the entry. *)
 let execution_terms t u =
   let terms =
     List.filter_map
@@ -86,6 +91,7 @@ let execution_terms t u =
   let const = if u = t.graph.Cfg.Graph.entry then 1 else 0 in
   (terms, const)
 
+(* A loop's entry count, likewise. *)
 let entry_terms_of_loop t (l : Cfg.Loop.loop) =
   let terms =
     List.filter_map
@@ -94,6 +100,19 @@ let entry_terms_of_loop t (l : Cfg.Loop.loop) =
   in
   let const = if l.Cfg.Loop.header = t.graph.Cfg.Graph.entry then 1 else 0 in
   (terms, const)
+
+(* How often a first-miss reference of [scope] can pay its miss: once
+   per program run, or once per entry of its loop. *)
+let scope_cap t = function
+  | Chmc.Global -> ([], 1)
+  | Chmc.Loop header -> (
+    match List.find_opt (fun (l : Cfg.Loop.loop) -> l.Cfg.Loop.header = header) t.loops with
+    | Some l -> entry_terms_of_loop t l
+    | None -> ([], 1) (* cannot happen: scopes come from the same loop list *))
+
+let path_scope = function
+  | Chmc.Global -> Path_engine.Whole_program
+  | Chmc.Loop header -> Path_engine.Loop_scope header
 
 (* Saturating arithmetic for the structural bounds: deep loop nests can
    overflow a product of (bound + 1) factors; clamping at [max_int]
@@ -108,16 +127,51 @@ let execution_count_bound loops u =
     1
     (Cfg.Loop.loops_containing loops u)
 
-let add_capped_counter t ~name ~node ~cap =
-  let y = Lp.add_var t.lp ~name () in
+(* A fresh [y] with [y <= execution count of node] and [y <= cap]: the
+   shape of every first-miss counter. Both rows are [y - sum x <= c]
+   with [c >= 0], so they are feasible at any feasible flow basis. *)
+let add_capped_counter t lp ~name ~node ~cap =
+  let y = Lp.add_var lp ~name () in
   let exec_terms, exec_const = execution_terms t node in
-  Lp.add_constr_int t.lp
+  Lp.add_constr_int lp
     ~name:(name ^ "_exec")
     ((y, 1) :: List.map (fun (v, c) -> (v, -c)) exec_terms)
     Lp.Le exec_const;
   let cap_terms, cap_const = cap in
-  Lp.add_constr_int t.lp
+  Lp.add_constr_int lp
     ~name:(name ^ "_cap")
     ((y, 1) :: List.map (fun (v, c) -> (v, -c)) cap_terms)
     Lp.Le cap_const;
   y
+
+let cost_lp t ~prefix costs =
+  let lp = Lp.copy t.lp in
+  let coeffs : (Lp.var, int) Hashtbl.t = Hashtbl.create 64 in
+  let constant = ref 0 in
+  let add_terms terms const factor =
+    List.iter
+      (fun (v, c) ->
+        Hashtbl.replace coeffs v (Option.value ~default:0 (Hashtbl.find_opt coeffs v) + (c * factor)))
+      terms;
+    constant := !constant + (const * factor)
+  in
+  List.iter
+    (fun (u, per_exec, shots) ->
+      List.iteri
+        (fun idx (scope, amount) ->
+          let y =
+            add_capped_counter t lp
+              ~name:(Printf.sprintf "%s_%d_%d" prefix u idx)
+              ~node:u ~cap:(scope_cap t scope)
+          in
+          add_terms [ (y, 1) ] 0 amount)
+        shots;
+      if per_exec > 0 then begin
+        let terms, const = execution_terms t u in
+        add_terms terms const per_exec
+      end)
+    costs;
+  Lp.set_objective_int lp (Hashtbl.fold (fun v c acc -> (v, c) :: acc) coeffs []);
+  (lp, !constant)
+
+let maximize t ?budget ~exact lp = Ilp.Solver.bounded_objective ?budget ~exact ?start:t.start lp

@@ -5,33 +5,49 @@
     [sum(back edges) <= bound * sum(entry edges)].
 
     Unreachable nodes are excluded so that disconnected circulation
-    cannot inflate the objective. Objectives are added on top by
-    {!Wcet} and {!Delta}. *)
+    cannot inflate the objective.
+
+    One model serves every IPET LP of a program: {!build} writes the
+    flow system and runs simplex phase 1 on it once; {!cost_lp} builds
+    each objective (the fault-free WCET of {!Wcet}, one FMM cell of
+    {!Delta}) on a copy, and {!maximize} seeds the solve with that
+    phase-1 basis. A model is immutable once built: build it before
+    worker domains start and share it read-only. *)
 
 type t
 
 val build : Cfg.Graph.t -> Cfg.Loop.loop list -> t
-
-val lp : t -> Ilp.Lp.t
+(** The flow system and its phase-1 feasible basis. *)
 
 val graph : t -> Cfg.Graph.t
 
 val reachable : t -> int -> bool
 
-val edge_var : t -> int * int -> Ilp.Lp.var
-(** @raise Not_found for edges not in the model. *)
+val path_scope : Cache_analysis.Chmc.scope -> Path_engine.scope
+(** The path engine's name for a first-miss persistence scope. *)
 
-val execution_terms : t -> int -> (Ilp.Lp.var * int) list * int
-(** [execution_terms t u] is the execution count of node [u] as (linear
-    terms, constant): the sum of incoming edge variables, plus 1 when
-    [u] is the entry node. *)
+val cost_lp :
+  t ->
+  prefix:string ->
+  (int * int * (Cache_analysis.Chmc.scope * int) list) list ->
+  Ilp.Lp.t * int
+(** [cost_lp t ~prefix costs] is the IPET LP maximising, over
+    [(node, per_exec, shots)] in [costs], [per_exec] times the node's
+    execution count plus, per one-shot [(scope, amount)], [amount] times
+    a fresh first-miss counter named [prefix_node_index], capped by the
+    node's execution count and by the entries of [scope]. Returns the LP
+    (a copy of the flow system: [t] is untouched) and the objective's
+    constant term, which the LP leaves out. Nodes must be reachable. *)
 
-val entry_terms_of_loop : t -> Cfg.Loop.loop -> (Ilp.Lp.var * int) list * int
-(** Loop-entry count (used to bound first-miss variables). *)
-
-val add_capped_counter : t -> name:string -> node:int -> cap:(Ilp.Lp.var * int) list * int -> Ilp.Lp.var
-(** A fresh variable [y] with [0 <= y <= execution count of node] and
-    [y <= cap] — the shape of every first-miss counter. *)
+val maximize :
+  t ->
+  ?budget:Robust.Budget.t ->
+  exact:bool ->
+  Ilp.Lp.t ->
+  (Ilp.Solver.bound, Robust.Pwcet_error.t) Stdlib.result
+(** {!Ilp.Solver.bounded_objective} on an LP from {!cost_lp}, seeded
+    with the model's phase-1 basis. The bound equals an unseeded
+    solve's: seeding moves the pivot path, not the optimum. *)
 
 val execution_count_bound : Cfg.Loop.loop list -> int -> int
 (** Structural (LP-free) bound on the execution count of a node: the

@@ -8,17 +8,6 @@ type result = {
   lp_size : int * int;
 }
 
-let scope_cap model loops = function
-  | Chmc.Global -> ([], 1)
-  | Chmc.Loop header -> (
-    match List.find_opt (fun (l : Cfg.Loop.loop) -> l.Cfg.Loop.header = header) loops with
-    | Some l -> Model.entry_terms_of_loop model l
-    | None -> ([], 1) (* cannot happen: scopes come from the same loop list *))
-
-let path_scope = function
-  | Chmc.Global -> Path_engine.Whole_program
-  | Chmc.Loop header -> Path_engine.Loop_scope header
-
 (* Per-execution fetch cost of a node and the one-shot (first-miss)
    penalties of its references. *)
 let node_costs ~graph ~chmc ~config u =
@@ -57,42 +46,26 @@ let structural_bound ~graph ~loops ~config =
     reachable;
   !total
 
-let compute_ilp ~graph ~loops ~chmc ~config ~exact ?budget () =
-  let model = Model.build graph loops in
-  let lp = Model.lp model in
-  let coeffs : (Lp.var, int) Hashtbl.t = Hashtbl.create 64 in
-  let constant = ref 0 in
-  let add_terms terms const factor =
-    List.iter
-      (fun (v, c) ->
-        Hashtbl.replace coeffs v (Option.value ~default:0 (Hashtbl.find_opt coeffs v) + (c * factor)))
-      terms;
-    constant := !constant + (const * factor)
+let cost_lp ~model ~chmc ~config =
+  let graph = Model.graph model in
+  let costs =
+    List.filter_map
+      (fun u ->
+        if Model.reachable model u then
+          let per_exec, shots = node_costs ~graph ~chmc ~config u in
+          Some (u, per_exec, shots)
+        else None)
+      (List.init (Cfg.Graph.node_count graph) Fun.id)
   in
-  for u = 0 to Cfg.Graph.node_count graph - 1 do
-    if Model.reachable model u then begin
-      let per_exec, shots = node_costs ~graph ~chmc ~config u in
-      List.iteri
-        (fun idx (scope, amount) ->
-          let y =
-            Model.add_capped_counter model
-              ~name:(Printf.sprintf "fm_%d_%d" u idx)
-              ~node:u
-              ~cap:(scope_cap model loops scope)
-          in
-          add_terms [ (y, 1) ] 0 amount)
-        shots;
-      if per_exec > 0 then begin
-        let terms, const = Model.execution_terms model u in
-        add_terms terms const per_exec
-      end
-    end
-  done;
-  Lp.set_objective_int lp (Hashtbl.fold (fun v c acc -> (v, c) :: acc) coeffs []);
+  Model.cost_lp model ~prefix:"fm" costs
+
+let compute_ilp ~graph ~loops ~chmc ~config ~exact ?budget ?model () =
+  let model = match model with Some m -> m | None -> Model.build graph loops in
+  let lp, constant = cost_lp ~model ~chmc ~config in
   let lp_size = (Lp.num_vars lp, List.length (Lp.constraints lp)) in
-  match Ilp.Solver.bounded_objective ?budget ~exact lp with
+  match Model.maximize model ?budget ~exact lp with
   | Ok { Ilp.Solver.value; rung } ->
-    Ok ({ wcet = Model.sat_add value !constant; lp_size }, rung)
+    Ok ({ wcet = Model.sat_add value constant; lp_size }, rung)
   | Error (E.Unbounded _ | E.Budget_exhausted _) ->
     (* Both remaining LP rungs are unusable; fall to the structural
        bound, which needs no solver at all. *)
@@ -109,7 +82,7 @@ let compute_path ~graph ~loops ~chmc ~config =
     if reachable.(u) then begin
       let cost, shots = node_costs ~graph ~chmc ~config u in
       per_exec.(u) <- cost;
-      List.iter (fun (scope, amount) -> one_shots := (path_scope scope, amount) :: !one_shots) shots
+      List.iter (fun (scope, amount) -> one_shots := (Model.path_scope scope, amount) :: !one_shots) shots
     end
   done;
   let wcet =
@@ -117,10 +90,11 @@ let compute_path ~graph ~loops ~chmc ~config =
   in
   { wcet; lp_size = (0, 0) }
 
-let compute_result ~graph ~loops ~chmc ~config ?(engine = `Path) ?(exact = false) ?budget () =
+let compute_result ~graph ~loops ~chmc ~config ?(engine = `Path) ?(exact = false) ?budget ?model
+    () =
   match engine with
   | `Path -> Ok (compute_path ~graph ~loops ~chmc ~config, Rung.Exact)
-  | `Ilp -> compute_ilp ~graph ~loops ~chmc ~config ~exact ?budget ()
+  | `Ilp -> compute_ilp ~graph ~loops ~chmc ~config ~exact ?budget ?model ()
 
 let compute ~graph ~loops ~chmc ~config ?(engine = `Path) ?(exact = false) ?budget () =
   match compute_result ~graph ~loops ~chmc ~config ~engine ~exact ?budget () with

@@ -43,6 +43,12 @@ val structural_bound :
     miss latency, weighted by {!Model.execution_count_bound}. Dominates
     the exact WCET for every classification, with no LP solved. *)
 
+val cost_lp :
+  model:Model.t -> chmc:Cache_analysis.Chmc.t -> config:Cache.Config.t -> Ilp.Lp.t * int
+(** The fault-free WCET ILP of the [`Ilp] engine and its objective
+    constant ({!Model.cost_lp}): the bound is [ceil] of the LP (or ILP)
+    optimum plus the constant. Exposed for solver oracles. *)
+
 val compute_result :
   graph:Cfg.Graph.t ->
   loops:Cfg.Loop.loop list ->
@@ -51,12 +57,15 @@ val compute_result :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?budget:Robust.Budget.t ->
+  ?model:Model.t ->
   unit ->
   (result * Robust.Rung.t, Robust.Pwcet_error.t) Stdlib.result
 (** [exact] (ILP engine only): branch-and-bound instead of the LP
     relaxation bound. [budget] caps the branch-and-bound search; when
     it runs out, the bound degrades one rung (relaxation, then the
-    structural bound) instead of failing. [Error] only on genuinely
+    structural bound) instead of failing. [model] is the program's
+    flow model ({!Model.build} on the same [graph] and [loops]); the
+    ILP engine builds one when it is absent. [Error] only on genuinely
     broken models ([Infeasible] — an inconsistent flow system). The
     path engine is exact for its cost model and never consults the
     budget. *)

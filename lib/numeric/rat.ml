@@ -25,10 +25,19 @@ let sign t = Bigint.sign t.num
 let is_zero t = Bigint.is_zero t.num
 let is_integer t = Bigint.equal t.den Bigint.one
 
+(* Integer fast path: an integer numerator over 1 is already canonical,
+   and so is every result that stays an integer, so these cases skip the
+   gcd and the two bignum divisions of [canonical]. *)
+let both_integers a b = is_integer a && is_integer b
+
 let compare a b =
   (* a.num/a.den ? b.num/b.den  <=>  a.num*b.den ? b.num*a.den
      (denominators are positive). *)
-  Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
+  let sa = sign a and sb = sign b in
+  if sa <> sb then Stdlib.compare sa sb
+  else if sa = 0 then 0
+  else if both_integers a b then Bigint.compare a.num b.num
+  else Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
 
 let equal a b = compare a b = 0
 
@@ -36,18 +45,33 @@ let neg t = { t with num = Bigint.neg t.num }
 let abs t = { t with num = Bigint.abs t.num }
 
 let add a b =
-  canonical
-    (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
-    (Bigint.mul a.den b.den)
+  if is_zero a then b
+  else if is_zero b then a
+  else if both_integers a b then of_bigint (Bigint.add a.num b.num)
+  else
+    canonical
+      (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
+      (Bigint.mul a.den b.den)
 
 let sub a b = add a (neg b)
-let mul a b = canonical (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
 
+let mul a b =
+  if is_zero a || is_zero b then zero
+  else if both_integers a b then of_bigint (Bigint.mul a.num b.num)
+  else canonical (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
+
+(* Swapping a canonical pair keeps it coprime; only the sign moves. *)
 let inv t =
   if is_zero t then raise Division_by_zero;
-  canonical t.den t.num
+  if sign t > 0 then { num = t.den; den = t.num }
+  else { num = Bigint.neg t.den; den = Bigint.neg t.num }
 
-let div a b = mul a (inv b)
+let div a b =
+  if is_zero b then raise Division_by_zero;
+  if is_zero a then zero
+  else if is_integer b && Bigint.equal b.num Bigint.one then a
+  else if both_integers a b then canonical a.num b.num
+  else mul a (inv b)
 
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b

@@ -2,7 +2,9 @@
 
     Values are kept in canonical form: the denominator is strictly
     positive and coprime with the numerator. This is the number type of
-    the exact simplex in [lib/ilp]. *)
+    the exact simplex in [lib/ilp]. Arithmetic on a zero operand or on
+    two integers skips the gcd normalisation (its result is canonical
+    already), which keeps network-like simplex tableaux cheap. *)
 
 type t
 

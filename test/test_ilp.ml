@@ -241,6 +241,131 @@ let relaxation_dominates =
          | _, BB.Infeasible -> true
          | _ -> false))
 
+(* --- differential: shipped engine vs the dense oracle ---------------------- *)
+
+(* Random LPs over [nvars] early variables plus one late variable that
+   only rows after [split] (and the objective) mention: the first
+   [split] rows are the prefix system a seeded solve starts from. Rows
+   mix Le/Ge/Eq with negative right-hand sides and fractional
+   coefficients; with no box, infeasible and unbounded cases occur, and
+   [dup] repeats an equality to make a redundant row. *)
+let gen_coeff =
+  QCheck2.Gen.(
+    let* n = int_range (-4) 4 in
+    let* d = oneofl [ 1; 1; 1; 2; 3 ] in
+    return (Rat.of_ints n d))
+
+let gen_lp_spec ~box =
+  QCheck2.Gen.(
+    let* nvars = int_range 1 4 in
+    let* nrows = int_range 0 5 in
+    let row =
+      let* cs = list_size (return (nvars + 1)) gen_coeff in
+      let* relation = oneofl [ Lp.Le; Lp.Ge; Lp.Eq ] in
+      let* rhs = int_range (-8) 12 in
+      return (cs, relation, Rat.of_int rhs)
+    in
+    let* rows = list_size (return nrows) row in
+    let* dup = bool in
+    let rows =
+      match List.find_opt (fun (_, r, _) -> r = Lp.Eq) rows with
+      | Some eq when dup -> rows @ [ eq ]
+      | _ -> rows
+    in
+    let* split = int_range 0 (List.length rows) in
+    let* obj = list_size (return (nvars + 1)) gen_coeff in
+    let* cuts =
+      list_size (int_range 0 3)
+        (triple (int_range 0 nvars) (oneofl [ Lp.Le; Lp.Ge ]) (int_range 0 5))
+    in
+    return (nvars, box, rows, split, obj, cuts))
+
+(* The prefix system (box rows, then the first [split] rows, without
+   the late variable) and its extension on an [Lp.copy]: the late
+   variable, the remaining rows, the objective. *)
+let lps_of (nvars, box, rows, split, obj, _) =
+  let base = Lp.create () in
+  let vars = Array.init nvars (fun _ -> Lp.add_var base ()) in
+  let terms cs = List.filteri (fun i _ -> i < nvars) cs |> List.mapi (fun i c -> (vars.(i), c)) in
+  if box then Array.iter (fun v -> Lp.add_constr_int base [ (v, 1) ] Lp.Le 5) vars;
+  List.iteri (fun i (cs, rel, rhs) -> if i < split then Lp.add_constr base (terms cs) rel rhs) rows;
+  let ext = Lp.copy base in
+  let late = Lp.add_var ext () in
+  if box then Lp.add_constr_int ext [ (late, 1) ] Lp.Le 5;
+  let all_terms cs = (late, List.nth cs nvars) :: terms cs in
+  List.iteri (fun i (cs, rel, rhs) -> if i >= split then Lp.add_constr ext (all_terms cs) rel rhs) rows;
+  Lp.set_objective ext (all_terms obj);
+  (base, ext)
+
+let cut_rows (_, _, _, _, _, cuts) =
+  List.map
+    (fun (v, relation, bound) ->
+      { Lp.cname = "cut"; coeffs = [ (v, Rat.one) ]; relation; rhs = Rat.of_int bound })
+    cuts
+
+let with_rows lp rows =
+  let lp = Lp.copy lp in
+  List.iter (fun (c : Lp.constr) -> Lp.add_constr lp c.Lp.coeffs c.Lp.relation c.Lp.rhs) rows;
+  lp
+
+let same_status_and_objective a b =
+  match (a, b) with
+  | Simplex.Optimal x, Simplex.Optimal y -> Rat.equal x.Simplex.objective y.Simplex.objective
+  | Simplex.Infeasible, Simplex.Infeasible | Simplex.Unbounded, Simplex.Unbounded -> true
+  | _ -> false
+
+let differential name ~box check =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~name (gen_lp_spec ~box) check)
+
+(* Unseeded, the pivot sequence is the dense one: same vertex too. *)
+let lp_unseeded_matches_oracle =
+  differential "unseeded LP = dense oracle (status, objective, vertex)" ~box:false (fun spec ->
+      let _, lp = lps_of spec in
+      match (Simplex.solve lp, Dense_oracle.solve lp) with
+      | Simplex.Optimal x, Simplex.Optimal y ->
+        Rat.equal x.Simplex.objective y.Simplex.objective
+        && Array.for_all2 Rat.equal x.Simplex.values y.Simplex.values
+      | a, b -> same_status_and_objective a b)
+
+let lp_seeded_matches_oracle =
+  differential "seeded LP with cuts = dense oracle (status, objective)" ~box:false (fun spec ->
+      let base, ext = lps_of spec in
+      let cuts = cut_rows spec in
+      let expected = Dense_oracle.solve (with_rows ext cuts) in
+      match Simplex.start base with
+      | None -> expected = Simplex.Infeasible
+      | Some start -> same_status_and_objective (Simplex.solve ~start ~cuts ext) expected)
+
+let ilp_matches_oracle =
+  differential "B&B (own and caller's basis) = dense oracle B&B" ~box:true (fun spec ->
+      let base, ext = lps_of spec in
+      let expected = Dense_oracle.branch_bound ext in
+      let as_simplex = function
+        | BB.Optimal s -> Simplex.Optimal s
+        | BB.Infeasible -> Simplex.Infeasible
+        | BB.Unbounded -> Simplex.Unbounded
+      in
+      let seeded =
+        match BB.solve_within ?start:(Simplex.start base) ext with
+        | BB.Finished r -> as_simplex r
+        | BB.Exhausted -> Alcotest.fail "node budget exhausted"
+      in
+      same_status_and_objective (as_simplex (BB.solve ext)) expected
+      && (Simplex.start base = None || same_status_and_objective seeded expected))
+
+let test_start_prefix_checked () =
+  let lp = Lp.create () in
+  let x = Lp.add_var lp () in
+  Lp.add_constr_int lp [ (x, 1) ] Lp.Le 3;
+  let start = Option.get (Simplex.start lp) in
+  let other = Lp.create () in
+  let y = Lp.add_var other () in
+  Lp.add_constr_int other [ (y, 1) ] Lp.Le 3;
+  Alcotest.check_raises "not an extension"
+    (Invalid_argument "Simplex.solve: the LP does not extend its start's system") (fun () ->
+      ignore (Simplex.solve ~start other))
+
 let () =
   Alcotest.run "ilp"
     [ ( "simplex",
@@ -260,4 +385,10 @@ let () =
         ; Alcotest.test_case "solver facade" `Quick test_solver_facade
         ] )
     ; ("properties", [ bb_matches_brute_force; relaxation_dominates ])
+    ; ( "oracle",
+        [ lp_unseeded_matches_oracle
+        ; lp_seeded_matches_oracle
+        ; ilp_matches_oracle
+        ; Alcotest.test_case "start prefix checked" `Quick test_start_prefix_checked
+        ] )
     ]

@@ -216,6 +216,124 @@ let test_decomposition_soundness () =
       check_decomposition prog (Array.make config.C.sets 0))
     progs
 
+(* --- ILP engine vs the dense oracle ------------------------------------------ *)
+
+module Rung = Robust.Rung
+
+let rung = Alcotest.testable Rung.pp Rung.equal
+
+let oracle_bound ~exact lp =
+  match Dense_oracle.bounded_objective ~exact lp with
+  | Some b -> b
+  | None -> Alcotest.fail "oracle: IPET LP infeasible or unbounded"
+
+(* The FMM table and provenance the ILP engine must produce, cell by
+   cell from the naive per-(set, fault count) analyses, every cell LP
+   ({!Ipet.Delta.cost_lp}) solved by the dense oracle: monotone rows,
+   the tighter rung on a tie, RW copying column W-1. *)
+let oracle_fmm ~graph ~loops ~config ~ctx ~baseline ~model ~exact mechanism =
+  let ways = config.C.ways in
+  let misses = Array.make_matrix config.C.sets (ways + 1) 0 in
+  let rungs = Array.init config.C.sets (fun _ -> Array.make (ways + 1) Rung.Exact) in
+  let srb = Cache_analysis.Srb_analysis.analyze ~ctx ~graph ~config () in
+  let dead ~node ~offset =
+    match mechanism with
+    | Pwcet.Mechanism.Shared_reliable_buffer
+      when Cache_analysis.Srb_analysis.always_hit srb ~node ~offset -> Chmc.Always_hit
+    | _ -> Chmc.Always_miss
+  in
+  let max_f = match mechanism with Pwcet.Mechanism.Reliable_way -> ways - 1 | _ -> ways in
+  for set = 0 to config.C.sets - 1 do
+    if Array.length ctx.Cache_analysis.Context.touching.(set) > 0 then begin
+      for f = 1 to max_f do
+        let degraded =
+          if f < ways then begin
+            let chmc_f =
+              Chmc.analyze ~graph ~loops ~config
+                ~assoc:(fun s -> if s = set then ways - f else ways)
+                ~only_sets:[ set ] ()
+            in
+            fun ~node ~offset -> Chmc.classification chmc_f ~node ~offset
+          end
+          else dead
+        in
+        let value, r =
+          match Ipet.Delta.cost_lp ~model ~config ~baseline ~degraded ~sets:[ set ] ~ctx () with
+          | None -> (0, Rung.Exact)
+          | Some (lp, constant) ->
+            let v, r = oracle_bound ~exact lp in
+            (max 0 (v + constant), r)
+        in
+        let prev = misses.(set).(f - 1) and prev_rung = rungs.(set).(f - 1) in
+        misses.(set).(f) <- max value prev;
+        rungs.(set).(f) <-
+          (if value > prev then r
+           else if value < prev then prev_rung
+           else if Rung.compare r prev_rung <= 0 then r
+           else prev_rung)
+      done;
+      if max_f < ways then begin
+        misses.(set).(ways) <- misses.(set).(max_f);
+        rungs.(set).(ways) <- rungs.(set).(max_f)
+      end
+    end
+  done;
+  (misses, rungs)
+
+(* Seeded sparse engine vs dense oracle at the paper's 16x4: fault-free
+   WCET and every FMM cell and rung, for all three mechanisms, exact
+   ILP and LP relaxation, with the rows fanned over two domains. *)
+let test_ilp_engine_matches_oracle () =
+  let config = C.make ~sets:16 ~ways:4 ~line_bytes:16 () in
+  List.iter
+    (fun name ->
+      let entry = Option.get (Benchmarks.Registry.find name) in
+      let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
+      let graph = Cfg.Graph.build compiled.Minic.Compile.program in
+      let loops = Cfg.Loop.detect graph in
+      let ctx = Cache_analysis.Context.make ~graph ~loops ~config in
+      let baseline = Chmc.analyze ~ctx ~graph ~loops ~config () in
+      let model = Ipet.Model.build graph loops in
+      List.iter
+        (fun exact ->
+          let label what = Printf.sprintf "%s exact=%b %s" name exact what in
+          let wcet, wcet_rung =
+            match
+              Ipet.Wcet.compute_result ~graph ~loops ~chmc:baseline ~config ~engine:`Ilp ~exact ()
+            with
+            | Ok (r, rung) -> (r.Ipet.Wcet.wcet, rung)
+            | Error e -> Alcotest.fail (Robust.Pwcet_error.to_string e)
+          in
+          let lp, constant = Ipet.Wcet.cost_lp ~model ~chmc:baseline ~config in
+          let v, r = oracle_bound ~exact lp in
+          Alcotest.(check int) (label "wcet") (v + constant) wcet;
+          Alcotest.check rung (label "wcet rung") r wcet_rung;
+          List.iter
+            (fun mechanism ->
+              let fmm =
+                Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism ~engine:`Ilp ~exact ~jobs:2 ~ctx
+                  ~baseline ()
+              in
+              let misses, rungs =
+                oracle_fmm ~graph ~loops ~config ~ctx ~baseline ~model ~exact mechanism
+              in
+              let m = Pwcet.Mechanism.short_name mechanism in
+              Alcotest.(check (array (array int))) (label (m ^ " table")) misses
+                (Pwcet.Fmm.table fmm);
+              Array.iteri
+                (fun set row ->
+                  Array.iteri
+                    (fun faulty expected ->
+                      Alcotest.check rung
+                        (label (Printf.sprintf "%s rung %d/%d" m set faulty))
+                        expected
+                        (Pwcet.Fmm.provenance fmm ~set ~faulty))
+                    row)
+                rungs)
+            Pwcet.Mechanism.all)
+        [ true; false ])
+    [ "fibcall"; "bs"; "crc"; "cnt"; "jfdctint" ]
+
 let () =
   Alcotest.run "ipet"
     [ ( "wcet",
@@ -233,4 +351,7 @@ let () =
         ] )
     ; ( "soundness",
         [ Alcotest.test_case "decomposition bound" `Quick test_decomposition_soundness ] )
+    ; ( "oracle",
+        [ Alcotest.test_case "ILP engine = dense oracle, 16x4" `Slow
+            test_ilp_engine_matches_oracle ] )
     ]

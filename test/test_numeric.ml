@@ -195,6 +195,82 @@ let rat_props =
         (c > 0) = (s > 0) && (c = 0) = (s = 0))
   ]
 
+(* --- Rat fast path ------------------------------------------------------ *)
+
+(* Operands around the bignum limb boundaries (2^30 limbs; products
+   cross 2^60 and max_int) plus zero, one and small values, with
+   integers (denominator 1) frequent enough to exercise the integer
+   fast path in every mix. *)
+let gen_boundary_int =
+  QCheck2.Gen.(
+    let* base =
+      oneofl
+        [ B.zero; B.one; B.of_int 2; B.of_int 7;
+          B.pow (B.of_int 2) 30; B.pow (B.of_int 2) 60; B.of_int max_int;
+          B.mul (B.of_int max_int) (B.of_int max_int) ]
+    in
+    let* offset = int_range (-3) 3 in
+    let* negative = bool in
+    let v = B.add base (B.of_int offset) in
+    return (if negative then B.neg v else v))
+
+let gen_boundary_rat =
+  QCheck2.Gen.(
+    let* n = gen_boundary_int in
+    let* integer = bool in
+    if integer then return (R.of_bigint n)
+    else
+      let* d = gen_boundary_int in
+      return (R.make n (if B.is_zero d then B.one else d)))
+
+let is_canonical r =
+  if R.is_zero r then B.equal (R.den r) B.one
+  else B.sign (R.den r) > 0 && B.equal (B.gcd (R.num r) (R.den r)) B.one
+
+(* Structural identity: canonical forms are unique, so two canonical
+   values are equal iff their numerators and denominators are. *)
+let same a b = B.equal (R.num a) (R.num b) && B.equal (R.den a) (R.den b)
+
+(* The general formulas through [R.make], never taking a shortcut. *)
+let slow_add a b =
+  R.make (B.add (B.mul (R.num a) (R.den b)) (B.mul (R.num b) (R.den a))) (B.mul (R.den a) (R.den b))
+
+let slow_sub a b =
+  R.make (B.sub (B.mul (R.num a) (R.den b)) (B.mul (R.num b) (R.den a))) (B.mul (R.den a) (R.den b))
+
+let slow_mul a b = R.make (B.mul (R.num a) (R.num b)) (B.mul (R.den a) (R.den b))
+let slow_div a b = R.make (B.mul (R.num a) (R.den b)) (B.mul (R.den a) (R.num b))
+let slow_inv a = R.make (R.den a) (R.num a)
+
+let slow_compare a b =
+  B.sign (B.sub (B.mul (R.num a) (R.den b)) (B.mul (R.num b) (R.den a)))
+
+let fast_path_prop name op slow =
+  prop name (QCheck2.Gen.pair gen_boundary_rat gen_boundary_rat) (fun (a, b) ->
+      match slow a b with
+      | expected ->
+        let r = op a b in
+        is_canonical r && same r expected
+      | exception Division_by_zero -> (
+        match op a b with _ -> false | exception Division_by_zero -> true))
+
+let rat_fast_path_props =
+  [ prop "operands canonical" gen_boundary_rat is_canonical
+  ; fast_path_prop "add = slow path, canonical" R.add slow_add
+  ; fast_path_prop "sub = slow path, canonical" R.sub slow_sub
+  ; fast_path_prop "mul = slow path, canonical" R.mul slow_mul
+  ; fast_path_prop "div = slow path, canonical" R.div slow_div
+  ; prop "inv = slow path, canonical" gen_boundary_rat (fun a ->
+        match slow_inv a with
+        | expected ->
+          let r = R.inv a in
+          is_canonical r && same r expected
+        | exception Division_by_zero -> (
+          match R.inv a with _ -> false | exception Division_by_zero -> true))
+  ; prop "compare = slow path" (QCheck2.Gen.pair gen_boundary_rat gen_boundary_rat)
+      (fun (a, b) -> Int.compare (R.compare a b) 0 = slow_compare a b)
+  ]
+
 (* --- Kahan ------------------------------------------------------------ *)
 
 let test_kahan_vs_naive () =
@@ -343,6 +419,7 @@ let () =
         ; Alcotest.test_case "to_float" `Quick test_rat_to_float
         ] )
     ; ("rat-props", rat_props)
+    ; ("rat-fastpath", rat_fast_path_props)
     ; ( "kahan",
         [ Alcotest.test_case "vs naive" `Quick test_kahan_vs_naive
         ; Alcotest.test_case "tiny terms" `Quick test_kahan_tiny_terms
