@@ -10,15 +10,19 @@ build:
 # Tier-1 gate: build + unit/property tests, then an intentionally
 # budget-starved analysis that must *complete gracefully* (degraded but
 # sound bounds, exit 0) rather than raise — the robustness contract of
-# the degradation ladder — plus the exact-ILP reference gate and the
-# end-to-end store crash-safety, daemon lifecycle, fault-injection
-# validation, schedulability campaign, grid and chaos-injection gates.
+# the degradation ladder — plus the sweep verifier on the path engine
+# and on the exact ILP, the exact-ILP reference gate, the end-to-end
+# store crash-safety, daemon lifecycle, fault-injection validation,
+# schedulability campaign, grid and chaos-injection gates, and the
+# golden gate pinning the sweep/suite/grid outputs.
 check:
 	dune build && dune runtest
 	dune exec bin/pwcet_tool.exe -- analyze fibcall --engine ilp --exact \
 	  --timeout 0.000001 --sets 8 --ways 2
 	dune exec bin/pwcet_tool.exe -- sweep fibcall --pfail-grid 1e-5,1e-4,1e-3 \
 	  --verify --sets 8 --ways 2
+	dune exec bin/pwcet_tool.exe -- sweep fibcall --engine ilp --exact --verify \
+	  --sets 8 --ways 2
 	sh scripts/check_ilp.sh ./_build/default/bin/pwcet_tool.exe
 	sh scripts/check_store.sh ./_build/default/bin/pwcet_tool.exe
 	sh scripts/check_service.sh ./_build/default/bin/pwcet_tool.exe
@@ -26,6 +30,7 @@ check:
 	sh scripts/check_sched.sh ./_build/default/bin/pwcet_tool.exe
 	sh scripts/check_grid.sh ./_build/default/bin/pwcet_tool.exe
 	sh scripts/check_chaos.sh ./_build/default/bin/pwcet_tool.exe
+	sh scripts/check_frontends.sh ./_build/default/bin/pwcet_tool.exe
 
 test: check
 

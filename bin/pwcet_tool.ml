@@ -20,9 +20,9 @@
    violation, or corrupt store entries found by cache verify; 2 invalid
    input (bad benchmark, source, cache geometry, probability, budget or
    jobs count); 3 a client request shed by the daemon's admission
-   control; 130 sweep/suite cancelled cleanly by SIGINT/SIGTERM, or a
-   serve run ended by those signals after a clean drain; cmdliner's own
-   codes for CLI errors. *)
+   control; 130 a grid, sweep, suite or sched run cancelled cleanly by
+   SIGINT/SIGTERM, or a serve run ended by those signals after a clean
+   drain; cmdliner's own codes for CLI errors. *)
 
 open Cmdliner
 
@@ -181,8 +181,9 @@ let cache_dir_arg =
                  penalty distributions are stored under $(docv) (created as needed), \
                  keyed by code version, program content and analysis flags, and \
                  integrity-checked on every read — a corrupt entry is quarantined and \
-                 transparently recomputed. Also the home of sweep/suite resume journals. \
-                 Budget-limited runs (--timeout/--ilp-nodes) bypass the cache.")
+                 transparently recomputed. Also the home of the grid/sweep/suite and \
+                 sched analyze resume journals. Budget-limited runs \
+                 (--timeout/--ilp-nodes) bypass the cache.")
 
 let no_cache_arg =
   Arg.(value & flag
@@ -194,11 +195,12 @@ let resume_arg =
   Arg.(value & flag
        & info [ "resume" ]
            ~doc:"Resume an interrupted run from its journal under --cache-dir: completed \
-                 (mechanism, pfail-point) or benchmark units are replayed from the \
-                 journal (integrity-checked; a torn trailing record from a crash is \
-                 dropped and recomputed) and only the remainder is analysed. The final \
-                 output is bit-identical to an uninterrupted run. Requires --cache-dir; \
-                 incompatible with --verify and with budget options.")
+                 units — grid cells (one benchmark, geometry, mechanism and pfail) or \
+                 task sets — are replayed from the journal (integrity-checked; a torn \
+                 trailing record from a crash is dropped and recomputed) and only the \
+                 remainder is analysed. The final output is bit-identical to an \
+                 uninterrupted run. Requires --cache-dir; incompatible with --verify and \
+                 with budget options.")
 
 (* Deterministic crash injection for the crash-safety gate in `make
    check`: kill this very process with SIGKILL — no cleanup, no
@@ -221,11 +223,15 @@ let report_store_stats store =
   | Some st ->
     Format.eprintf "cache: %a@." Store.Artifact.pp_stats (Store.Artifact.stats st)
 
-(* SIGINT/SIGTERM request a clean cancel: the flag is checked between
-   units, so the journal is left consistent (every appended record
-   complete and fsynced), no partial JSON is emitted, and the exit
-   code is 130. A second Ctrl-C still kills the process the hard way —
-   which the torn-record handling tolerates by design. *)
+let reject ~label msg =
+  Printf.eprintf "%s: %s\n" label msg;
+  exit exit_invalid_input
+
+(* SIGINT/SIGTERM request a clean cancel: the flag is polled as each
+   unit completes, so the journal is left consistent (every appended
+   record complete and fsynced), no partial JSON is emitted, and the
+   exit code is 130. A second Ctrl-C still kills the process the hard
+   way — which the torn-record handling tolerates by design. *)
 let cancel_requested = ref false
 
 let install_cancel_handlers () =
@@ -234,9 +240,34 @@ let install_cancel_handlers () =
     (fun signal -> try Sys.set_signal signal handle with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigint; Sys.sigterm ]
 
+(* The one journal/resume loop, shared by grid, sweep, suite and sched
+   analyze. A run's journal lives under --cache-dir, keyed by
+   everything that shapes its output; budgeted runs depend on
+   wall-clock and are never journalled. *)
+type journal = {
+  writer : Store.Journal.writer;
+  path : string;
+  crash_after : int option;
+  mutable appended : int;
+}
+
+let check_resume_args ~label ~resume ~cache_dir ~budget ~verify =
+  if resume && cache_dir = None then
+    reject ~label "--resume requires --cache-dir (the journal lives there)";
+  if resume && verify then
+    reject ~label
+      "--resume is incompatible with --verify (replayed units have no distribution to \
+       cross-check); rerun the verification without --resume";
+  if resume && budget <> None then
+    reject ~label
+      "--resume is incompatible with budget options (budgeted results depend on wall-clock \
+       and are never journalled)"
+
+let close_journal journal = Option.iter (fun j -> Store.Journal.close j.writer) journal
+
 let bail_if_cancelled ?journal label =
   if !cancel_requested then begin
-    Option.iter Store.Journal.close journal;
+    close_journal journal;
     Printf.eprintf
       "%s: cancelled by signal; completed units are journalled, rerun with --resume to \
        continue\n"
@@ -244,20 +275,48 @@ let bail_if_cancelled ?journal label =
     exit exit_cancelled
   end
 
-let maybe_crash crash_after ~appended ~journal_path =
-  match crash_after with
-  | Some n when appended >= n ->
-    (* Torn trailing record: a length prefix promising far more bytes
-       than will ever arrive. [resume] must drop it. *)
-    let oc = open_out_gen [ Open_append; Open_binary ] 0o644 journal_path in
-    output_string oc "\xff\xff\xff\xff\xff\xff\xff\x7ftorn";
-    flush oc;
-    Unix.kill (Unix.getpid ()) Sys.sigkill
-  | _ -> ()
+(* Creates the run's journal, or with [resume] reopens it and returns
+   the units it already holds, decoded (a record that fails to decode
+   is recomputed). [run_key] is only derived when a journal is kept:
+   it digests every program. *)
+let open_journal ~label ~unit_name ~decode ~resume ~crash_after ~budget store run_key =
+  match store with
+  | Some st when budget = None ->
+    let run_key = run_key () in
+    let path = Store.Artifact.journal_path st ~run_key in
+    let writer, payloads =
+      if resume then Store.Journal.resume ~path ~run_key ()
+      else (Store.Journal.create ~path ~run_key (), [])
+    in
+    let units = List.filter_map (fun p -> Result.to_option (decode p)) payloads in
+    if units <> [] then
+      Printf.eprintf "%s: resuming: %d completed %s(s) replayed from the journal\n" label
+        (List.length units) unit_name;
+    (Some { writer; path; crash_after; appended = 0 }, units)
+  | _ -> (None, [])
 
-let float_key f = Int64.to_string (Int64.bits_of_float f)
-let engine_tag = function `Path -> "path" | `Ilp -> "ilp"
-let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
+(* Units may complete on worker domains, in any order: the append, the
+   crash hook and the cancel poll run under one lock, so the append
+   count is exact and a cancelled run exits with no append in flight. *)
+let unit_lock = Mutex.create ()
+
+let unit_done ~label journal payload =
+  Mutex.protect unit_lock (fun () ->
+      Option.iter
+        (fun j ->
+          Store.Journal.append j.writer payload;
+          j.appended <- j.appended + 1;
+          match j.crash_after with
+          | Some n when j.appended >= n ->
+            (* Torn trailing record: a length prefix promising far more
+               bytes than will ever arrive. [resume] must drop it. *)
+            let oc = open_out_gen [ Open_append; Open_binary ] 0o644 j.path in
+            output_string oc "\xff\xff\xff\xff\xff\xff\xff\x7ftorn";
+            flush oc;
+            Unix.kill (Unix.getpid ()) Sys.sigkill
+          | _ -> ())
+        journal;
+      bail_if_cancelled ?journal label)
 
 let exits =
   Cmd.Exit.info 1
@@ -268,9 +327,9 @@ let exits =
              geometry, probability outside (0, 1), a malformed budget, an out-of-range \
              jobs count, or an inconsistent --resume combination."
   :: Cmd.Exit.info exit_cancelled
-       ~doc:"when SIGINT/SIGTERM cancels a sweep/suite run cleanly: the resume journal \
-             is left consistent, no partial JSON is emitted, and completed units can be \
-             replayed with --resume."
+       ~doc:"when SIGINT/SIGTERM cancels a grid, sweep, suite or sched run cleanly: the \
+             resume journal is left consistent, no partial JSON is emitted, and completed \
+             units can be replayed with --resume."
   :: Cmd.Exit.defaults
 
 let cmd_info name ~doc = Cmd.info name ~doc ~exits
@@ -407,316 +466,144 @@ let analyze_cmd =
           $ engine_arg $ exact_arg $ jobs_arg $ impl_arg $ ilp_nodes_arg $ timeout_arg
           $ curve_arg $ fmm_arg $ check_arg $ cache_dir_arg $ no_cache_arg)
 
-(* --- sweep ------------------------------------------------------------------ *)
+(* --- the batch path: grid, sweep and suite ------------------------------- *)
 
-(* A sweep point as displayed, journalled and emitted as JSON —
-   identical in shape whether freshly computed or replayed from a
-   resume journal, which is what makes resumed output bit-identical to
-   an uninterrupted run. *)
-type sweep_point = {
-  sp_pfail : float;
-  sp_pbf : float;
-  sp_rung : Robust.Rung.t;
-  sp_pwcets : int list;  (* one per target, in --targets order *)
+(* Sweep and suite are slices of the grid — a sweep is one benchmark x
+   one geometry x mechanisms x a pfail grid, the suite is the registry x
+   one geometry x every mechanism x one pfail — so all three run
+   through [run_batch]: one Grid.run, one journal of Grid cells, one
+   resume, cancellation and --verify. Each command keeps only its own
+   arguments and printer. *)
+type batch = {
+  results : (Grid.point * (Grid.cell, Robust.Pwcet_error.t) result) list;
+  replayed : int;
+  estimates : (string, Pwcet.Estimator.estimate) Hashtbl.t;
+      (* the estimate behind each freshly computed cell, by point key,
+         when asked for *)
 }
 
-let sweep_point_payload ~mech_name point =
-  let w = Store.Wire.writer () in
-  Store.Wire.put_string w mech_name;
-  Store.Wire.put_float w point.sp_pfail;
-  Store.Wire.put_float w point.sp_pbf;
-  Store.Wire.put_int w (Robust.Rung.to_tag point.sp_rung);
-  Store.Wire.put_int_array w (Array.of_list point.sp_pwcets);
-  Store.Wire.contents w
+let run_batch ~label ~jobs ~budget ~store ~resume ~crash_after ~keep_estimates spec =
+  install_cancel_handlers ();
+  let journal, replayed =
+    open_journal ~label ~unit_name:"cell" ~decode:Grid.cell_of_wire ~resume ~crash_after
+      ~budget store (fun () -> Store.Artifact.key (("run", label) :: Grid.identity spec))
+  in
+  let completed = Hashtbl.create 64 in
+  List.iter (fun cell -> Hashtbl.replace completed (Grid.point_key cell.Grid.point) cell) replayed;
+  bail_if_cancelled ?journal label;
+  let estimates = Hashtbl.create 16 in
+  let on_cell cell est =
+    if keep_estimates then
+      Mutex.protect unit_lock (fun () ->
+          Hashtbl.replace estimates (Grid.point_key cell.Grid.point) est);
+    unit_done ~label journal (Grid.cell_to_wire cell)
+  in
+  let results =
+    Grid.run ~jobs ?budget ?store
+      ~skip:(fun point -> Hashtbl.find_opt completed (Grid.point_key point))
+      ~on_cell spec
+  in
+  close_journal journal;
+  bail_if_cancelled label;
+  List.iter
+    (fun (point, outcome) ->
+      match outcome with
+      | Ok _ -> ()
+      | Error e ->
+        Printf.eprintf "%s: cell %s failed: %s\n" label (Grid.point_key point)
+          (Robust.Pwcet_error.to_string e))
+    results;
+  { results; replayed = Hashtbl.length completed; estimates }
 
-let sweep_point_of_payload payload =
-  match
-    Store.Wire.decode payload (fun r ->
-        let mech_name = Store.Wire.get_string r in
-        let sp_pfail = Store.Wire.get_float r in
-        let sp_pbf = Store.Wire.get_float r in
-        let sp_rung =
-          match Robust.Rung.of_tag (Store.Wire.get_int r) with
-          | Some rung -> rung
-          | None -> Store.Wire.malformed "bad rung tag"
-        in
-        let sp_pwcets = Array.to_list (Store.Wire.get_int_array r) in
-        (mech_name, { sp_pfail; sp_pbf; sp_rung; sp_pwcets }))
-  with
-  | Ok v -> Some v
-  | Error _ -> None
+(* Sweep and suite print one table over every cell: a failed cell
+   (already reported by [run_batch]) fails the run. *)
+let cells_or_exit batch =
+  List.map (function _, Ok cell -> cell | _, Error _ -> exit 1) batch.results
 
-let sweep_cmd =
-  let run name grid targets sets ways line engine exact jobs impl ilp_nodes timeout mechanisms
-      json_file verify cache_dir no_cache resume crash_after =
-    if grid = [] then begin
-      Printf.eprintf "sweep: --pfail-grid must name at least one pfail point\n";
-      exit exit_invalid_input
-    end;
-    if targets = [] then begin
-      Printf.eprintf "sweep: --targets must name at least one exceedance target\n";
-      exit exit_invalid_input
-    end;
-    if resume && cache_dir = None then begin
-      Printf.eprintf "sweep: --resume requires --cache-dir (the journal lives there)\n";
-      exit exit_invalid_input
-    end;
-    if resume && verify then begin
-      Printf.eprintf "sweep: --resume is incompatible with --verify (replayed points have \
-                      no distribution to cross-check); rerun the verification without \
-                      --resume\n";
-      exit exit_invalid_input
-    end;
-    if resume && (ilp_nodes <> None || timeout <> None) then begin
-      Printf.eprintf "sweep: --resume is incompatible with budget options (budgeted \
-                      results depend on wall-clock and are never journalled)\n";
-      exit exit_invalid_input
-    end;
-    install_cancel_handlers ();
-    let label, compiled = compile_target name in
-    let config = config_of sets ways line in
-    let budget = budget_of ilp_nodes timeout in
-    let store = store_of cache_dir no_cache in
-    let task =
-      Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config ~engine ~exact
-        ?budget ?store ()
-    in
-    (* The run key digests everything that shapes the output; a journal
-       written under different parameters is ignored wholesale. *)
-    let run_key =
-      Store.Artifact.key
-        (task.Pwcet.Estimator.identity
-        @ [ ("run", "sweep");
-            ("engine", engine_tag engine);
-            ("exact", string_of_bool exact);
-            ("impl", impl_tag impl);
-            ("grid", String.concat "," (List.map float_key grid));
-            ("targets", String.concat "," (List.map float_key targets));
-            ("mechanisms",
-             String.concat "," (List.map Pwcet.Mechanism.short_name mechanisms)) ])
-    in
-    let journal, replayed =
-      match store with
-      | Some st when budget = None ->
-        let path = Store.Artifact.journal_path st ~run_key in
-        if resume then
-          let w, units = Store.Journal.resume ~path ~run_key () in
-          (Some (w, path), units)
-        else (Some (Store.Journal.create ~path ~run_key (), path), [])
-      | _ -> (None, [])
-    in
-    let writer = Option.map fst journal in
-    let completed = Hashtbl.create 16 in
-    List.iter
-      (fun payload ->
-        match sweep_point_of_payload payload with
-        | Some (mech_name, point) ->
-          Hashtbl.replace completed (mech_name, Int64.bits_of_float point.sp_pfail) point
-        | None -> ())
-      replayed;
-    if Hashtbl.length completed > 0 then
-      Printf.eprintf "sweep: resuming %s: %d completed point(s) replayed from the journal\n"
-        label (Hashtbl.length completed);
-    let appended = ref 0 in
-    let append_point mech_name point =
-      match journal with
-      | None -> ()
-      | Some (w, path) ->
-        Store.Journal.append w (sweep_point_payload ~mech_name point);
-        incr appended;
-        maybe_crash crash_after ~appended:!appended ~journal_path:path
-    in
-    let point_of_est est =
-      { sp_pfail = est.Pwcet.Estimator.pfail;
-        sp_pbf = est.Pwcet.Estimator.pbf;
-        sp_rung = Pwcet.Estimator.worst_rung est;
-        sp_pwcets = List.map (fun target -> Pwcet.Estimator.pwcet est ~target) targets }
-    in
-    (* Fresh estimates kept around for --verify's cross-check. *)
-    let fresh_ests = Hashtbl.create 16 in
-    let results =
-      List.map
-        (fun mech ->
-          bail_if_cancelled ?journal:writer "sweep";
-          let mech_name = Pwcet.Mechanism.short_name mech in
-          let missing =
-            List.filter
-              (fun pfail -> not (Hashtbl.mem completed (mech_name, Int64.bits_of_float pfail)))
-              grid
+(* --verify: re-run every cell as an independent end-to-end estimate
+   under the same budget — deliberately WITHOUT the store, so a cached
+   run is checked against genuine recomputation — and demand the same
+   fault-free WCET, pbf, pWCET quantiles and rung, and a penalty
+   distribution with the same support as the batch's own. Sharing work
+   across cells (and through the cache) must be a pure refactoring of
+   the computation, never an approximation. Returns the number of
+   mismatching cells. *)
+let verify_batch ~jobs ~budget (spec : Grid.spec) batch =
+  let tasks = Hashtbl.create 16 in
+  let task_of (point : Grid.point) =
+    let key = (point.bench, point.config) in
+    match Hashtbl.find_opt tasks key with
+    | Some task -> task
+    | None ->
+      let task =
+        Pwcet.Estimator.prepare ~program:(List.assoc point.bench spec.benchmarks)
+          ~config:point.config ~engine:spec.engine ~exact:spec.exact ?budget ()
+      in
+      Hashtbl.replace tasks key task;
+      task
+  in
+  List.fold_left
+    (fun mismatches (point, outcome) ->
+      let same =
+        match (outcome, Hashtbl.find_opt batch.estimates (Grid.point_key point)) with
+        | Ok cell, Some est ->
+          let task = task_of point in
+          let independent =
+            Pwcet.Estimator.estimate task ~pfail:point.Grid.pfail
+              ~mechanism:point.Grid.mechanism ~engine:spec.engine ~exact:spec.exact ~jobs
+              ~impl:spec.impl ?budget ()
           in
-          let record est =
-            report_degradation mech_name est;
-            let point = point_of_est est in
-            Hashtbl.replace completed
-              (mech_name, Int64.bits_of_float est.Pwcet.Estimator.pfail)
-              point;
-            Hashtbl.replace fresh_ests
-              (mech_name, Int64.bits_of_float est.Pwcet.Estimator.pfail)
-              est;
-            append_point mech_name point
-          in
-          (match journal with
-          | Some _ ->
-            (* Journaled path: one estimate per point, so cancellation
-               and crashes have point granularity. The pfail-independent
-               work (FMM, fault-free WCET) is amortised through the
-               artifact store instead of the in-process sweep loop —
-               same bits either way. *)
-            List.iter
-              (fun pfail ->
-                bail_if_cancelled ?journal:writer "sweep";
-                record
-                  (Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~engine ~exact ~jobs
-                     ~impl ?budget ?store ()))
-              missing
-          | None ->
-            if missing <> [] then
-              List.iter record
-                (Pwcet.Estimator.sweep task ~pfail_grid:missing ~mechanism:mech ~engine ~exact
-                   ~jobs ~impl ?budget ?store ()));
-          let points =
-            List.map
-              (fun pfail -> Hashtbl.find completed (mech_name, Int64.bits_of_float pfail))
-              grid
-          in
-          (mech, points))
-        mechanisms
-    in
-    Option.iter Store.Journal.close writer;
-    Printf.printf "benchmark      : %s\n" label;
-    Format.printf "cache          : %a@." Cache.Config.pp config;
-    Printf.printf "fault-free WCET: %d cycles%s\n" (Pwcet.Estimator.fault_free_wcet task)
-      (rung_tag task.Pwcet.Estimator.wcet_rung);
-    List.iter
-      (fun (mech, points) ->
-        Printf.printf "\n%s\n" (Pwcet.Mechanism.name mech);
-        Printf.printf "  %-12s" "pfail";
-        List.iter (fun t -> Printf.printf "  pWCET(%g)" t) targets;
-        print_newline ();
-        List.iter
-          (fun point ->
-            Printf.printf "  %-12g" point.sp_pfail;
-            List.iter (fun q -> Printf.printf "  %10d" q) point.sp_pwcets;
-            Printf.printf "%s\n" (rung_tag point.sp_rung))
-          points)
-      results;
-    (match json_file with
-    | None -> ()
-    | Some file ->
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "{\n";
-      Buffer.add_string buf "  \"schema_version\": 1,\n";
-      Printf.bprintf buf "  \"benchmark\": %S,\n" label;
-      Printf.bprintf buf "  \"geometry\": { \"sets\": %d, \"ways\": %d, \"line_bytes\": %d },\n"
-        sets ways line;
-      Printf.bprintf buf "  \"wcet_ff\": %d,\n" (Pwcet.Estimator.fault_free_wcet task);
-      Printf.bprintf buf "  \"targets\": [%s],\n"
-        (String.concat ", " (List.map (Printf.sprintf "%.17g") targets));
-      Buffer.add_string buf "  \"mechanisms\": [\n";
-      List.iteri
-        (fun i (mech, points) ->
-          Printf.bprintf buf "    { \"mechanism\": %S,\n      \"points\": [\n"
-            (Pwcet.Mechanism.short_name mech);
-          List.iteri
-            (fun j point ->
-              Printf.bprintf buf "        { \"pfail\": %.17g, \"pbf\": %.17g, \"pwcet\": [%s] }%s\n"
-                point.sp_pfail point.sp_pbf
-                (String.concat ", " (List.map string_of_int point.sp_pwcets))
-                (if j = List.length points - 1 then "" else ","))
-            points;
-          Printf.bprintf buf "      ] }%s\n" (if i = List.length results - 1 then "" else ","))
-        results;
-      Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out file in
-      Buffer.output_buffer oc buf;
-      close_out oc;
-      Printf.printf "\nwrote %s\n" file);
-    if verify then begin
-      (* Re-run every grid point as an independent end-to-end estimate —
-         deliberately WITHOUT the store, so a cached sweep is checked
-         against genuine recomputation — and demand bit-identical
-         penalty distributions and equal pWCET quantiles. The
-         amortisation (in-process or through the cache) must be a pure
-         refactoring of the computation, never an approximation. *)
-      let mismatches = ref 0 in
-      List.iter
-        (fun (mech, points) ->
-          let mech_name = Pwcet.Mechanism.short_name mech in
-          List.iter2
-            (fun pfail point ->
-              let independent =
-                Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~engine ~exact ~jobs ~impl
-                  ?budget ()
-              in
-              let est =
-                Hashtbl.find fresh_ests (mech_name, Int64.bits_of_float pfail)
-              in
-              let same_support =
-                Prob.Dist.support independent.Pwcet.Estimator.penalty
-                = Prob.Dist.support est.Pwcet.Estimator.penalty
-              in
-              let same_quantiles =
-                List.for_all2
-                  (fun target q -> Pwcet.Estimator.pwcet independent ~target = q)
-                  targets point.sp_pwcets
-              in
-              if not (same_support && same_quantiles) then begin
-                incr mismatches;
-                Printf.eprintf "verify FAILED: %s pfail=%g differs from an independent estimate\n"
-                  mech_name pfail
-              end)
-            grid points)
-        results;
-      if !mismatches > 0 then exit 1
-      else Printf.printf "\nverify: all %d sweep points bit-identical to independent estimates\n"
-             (List.length grid * List.length results)
-    end;
-    report_store_stats store
-  in
-  let grid_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) [ 1e-6; 1e-5; 1e-4; 1e-3 ]
-         & info [ "pfail-grid" ] ~docv:"P,P,..."
-             ~doc:"Comma-separated pfail grid. The expensive pfail-independent work (CHMC, \
-                   FMM, fault-free WCET) runs once per mechanism; only the binomial \
-                   reweighting, convolution and quantile read-off are redone per point.")
-  in
-  let targets_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) [ default_target ]
-         & info [ "targets" ] ~docv:"P,P,..."
-             ~doc:"Comma-separated exceedance targets; one pWCET column per target.")
-  in
-  let mechanism_conv =
-    Arg.enum
-      [ ("none", [ Pwcet.Mechanism.No_protection ])
-      ; ("srb", [ Pwcet.Mechanism.Shared_reliable_buffer ])
-      ; ("rw", [ Pwcet.Mechanism.Reliable_way ])
-      ; ("all", Pwcet.Mechanism.all)
-      ]
-  in
-  let mechanism_arg =
-    Arg.(value & opt mechanism_conv Pwcet.Mechanism.all
-         & info [ "mechanism" ] ~docv:"MECH"
-             ~doc:"Mechanism to sweep: 'none', 'srb', 'rw' or 'all' (default).")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Also write the sweep table as JSON to $(docv).")
-  in
-  let verify_arg =
-    Arg.(value & flag
-         & info [ "verify" ]
-             ~doc:"Cross-check every sweep point against an independent end-to-end estimate \
-                   (bit-identical penalty distribution and equal pWCET quantiles); exit 1 \
-                   on any mismatch.")
-  in
-  Cmd.v
-    (cmd_info "sweep"
-       ~doc:"pWCET sensitivity sweep over a pfail grid (Fig. 5-style), computing the \
-             pfail-independent analysis once per mechanism")
-    Term.(const run $ bench_arg $ grid_arg $ targets_arg $ sets_arg $ ways_arg $ line_arg
-          $ engine_arg $ exact_arg $ jobs_arg $ impl_arg $ ilp_nodes_arg $ timeout_arg
-          $ mechanism_arg $ json_arg $ verify_arg $ cache_dir_arg $ no_cache_arg $ resume_arg
-          $ crash_after_arg)
+          Pwcet.Estimator.fault_free_wcet task = cell.Grid.wcet_ff
+          && independent.Pwcet.Estimator.pbf = cell.Grid.pbf
+          && List.for_all
+               (fun (target, q) -> Pwcet.Estimator.pwcet independent ~target = q)
+               cell.Grid.pwcets
+          && Robust.Rung.equal (Pwcet.Estimator.worst_rung independent) cell.Grid.rung
+          && Prob.Dist.support independent.Pwcet.Estimator.penalty
+             = Prob.Dist.support est.Pwcet.Estimator.penalty
+        | _ -> false
+      in
+      if same then mismatches
+      else begin
+        Printf.eprintf "verify FAILED: cell %s differs from an independent estimate\n"
+          (Grid.point_key point);
+        mismatches + 1
+      end)
+    0 batch.results
+
+let write_json file buf =
+  let oc = open_out file in
+  Buffer.output_buffer oc buf;
+  close_out oc
+
+let pfail_grid_arg =
+  Arg.(value & opt (list ~sep:',' prob_conv) [ 1e-6; 1e-5; 1e-4; 1e-3 ]
+       & info [ "pfail-grid" ] ~docv:"P,P,..."
+           ~doc:"Comma-separated pfail grid. The expensive pfail-independent work (CHMC, \
+                 FMM, fault-free WCET) runs once per benchmark and geometry; only the \
+                 binomial reweighting, convolution and quantile read-off are redone per \
+                 point.")
+
+let targets_arg =
+  Arg.(value & opt (list ~sep:',' prob_conv) [ default_target ]
+       & info [ "targets" ] ~docv:"P,P,..."
+           ~doc:"Comma-separated exceedance targets; one pWCET column per target.")
+
+let json_arg what =
+  Arg.(value & opt (some string) None
+       & info [ "json" ] ~docv:"FILE" ~doc:("Also write the " ^ what ^ " as JSON to $(docv)."))
+
+let verify_arg =
+  Arg.(value & flag
+       & info [ "verify" ]
+           ~doc:"Cross-check every cell against an independent end-to-end estimate under \
+                 the same budget, without the cache (equal fault-free WCET, pbf, pWCET \
+                 quantiles and degradation provenance, and a penalty distribution with the \
+                 same support); exit 1 on any mismatch.")
+
+let require_axes ~label pfail_grid targets =
+  if pfail_grid = [] then reject ~label "--pfail-grid must name at least one pfail point";
+  if targets = [] then reject ~label "--targets must name at least one exceedance target"
 
 (* --- grid ------------------------------------------------------------------- *)
 
@@ -725,11 +612,8 @@ let sweep_cmd =
    malformed geometry would otherwise surface as a confusing mid-run
    failure. *)
 let mechanisms_of ~label names =
-  if names = [] then begin
-    Printf.eprintf "%s: --mechanisms must name at least one mechanism (none, srb, rw, all)\n"
-      label;
-    exit exit_invalid_input
-  end;
+  if names = [] then
+    reject ~label "--mechanisms must name at least one mechanism (none, srb, rw, all)";
   List.concat_map
     (fun name ->
       if name = "all" then Pwcet.Mechanism.all
@@ -737,65 +621,34 @@ let mechanisms_of ~label names =
         match Pwcet.Mechanism.of_string name with
         | Some m -> [ m ]
         | None ->
-          Printf.eprintf "%s: unknown mechanism %S (expected none, srb, rw or all)\n" label
-            name;
-          exit exit_invalid_input)
+          reject ~label
+            (Printf.sprintf "unknown mechanism %S (expected none, srb, rw or all)" name))
     names
 
 (* A geometry is SETSxWAYS or SETSxWAYSxLINE_BYTES, e.g. 16x4 or 8x2x32. *)
 let geometries_of ~label specs =
-  if specs = [] then begin
-    Printf.eprintf "%s: --geometries must name at least one geometry (SETSxWAYS[xLINE])\n"
-      label;
-    exit exit_invalid_input
-  end;
+  if specs = [] then
+    reject ~label "--geometries must name at least one geometry (SETSxWAYS[xLINE])";
   List.map
     (fun spec ->
-      let bad () =
-        Printf.eprintf "%s: malformed geometry %S (expected SETSxWAYS[xLINE], e.g. 16x4x16)\n"
-          label spec;
-        exit exit_invalid_input
-      in
       match List.map int_of_string_opt (String.split_on_char 'x' spec) with
       | [ Some sets; Some ways ] -> config_of sets ways 16
       | [ Some sets; Some ways; Some line ] -> config_of sets ways line
-      | _ -> bad ())
+      | _ ->
+        reject ~label
+          (Printf.sprintf "malformed geometry %S (expected SETSxWAYS[xLINE], e.g. 16x4x16)" spec))
     specs
 
 let grid_cmd =
   let run benches geometries mechanisms grid targets engine exact jobs impl ilp_nodes timeout
       json_file verify cache_dir no_cache resume crash_after =
     let label = "grid" in
-    if benches = [] then begin
-      Printf.eprintf "grid: at least one benchmark (or mini-C file) is required\n";
-      exit exit_invalid_input
-    end;
-    if grid = [] then begin
-      Printf.eprintf "grid: --pfail-grid must name at least one pfail point\n";
-      exit exit_invalid_input
-    end;
-    if targets = [] then begin
-      Printf.eprintf "grid: --targets must name at least one exceedance target\n";
-      exit exit_invalid_input
-    end;
+    if benches = [] then reject ~label "at least one benchmark (or mini-C file) is required";
+    require_axes ~label grid targets;
     let mechanisms = mechanisms_of ~label mechanisms in
     let configs = geometries_of ~label geometries in
-    if resume && cache_dir = None then begin
-      Printf.eprintf "grid: --resume requires --cache-dir (the journal lives there)\n";
-      exit exit_invalid_input
-    end;
-    if resume && verify then begin
-      Printf.eprintf "grid: --resume is incompatible with --verify (replayed cells have no \
-                      distribution to cross-check); rerun the verification without --resume\n";
-      exit exit_invalid_input
-    end;
-    if resume && (ilp_nodes <> None || timeout <> None) then begin
-      Printf.eprintf "grid: --resume is incompatible with budget options (budgeted results \
-                      depend on wall-clock and are never journalled)\n";
-      exit exit_invalid_input
-    end;
-    install_cancel_handlers ();
     let budget = budget_of ilp_nodes timeout in
+    check_resume_args ~label ~resume ~cache_dir ~budget ~verify;
     let store = store_of cache_dir no_cache in
     let benchmarks =
       List.map
@@ -807,65 +660,10 @@ let grid_cmd =
     let spec =
       { Grid.benchmarks; configs; mechanisms; pfail_grid = grid; targets; engine; exact; impl }
     in
-    let run_key = Store.Artifact.key (("run", "grid") :: Grid.identity spec) in
-    let journal =
-      match store with
-      | Some st when budget = None ->
-        let path = Store.Artifact.journal_path st ~run_key in
-        if resume then
-          let w, units = Store.Journal.resume ~path ~run_key () in
-          (Some (w, path), units)
-        else (Some (Store.Journal.create ~path ~run_key (), path), [])
-      | _ -> (None, [])
+    let batch =
+      run_batch ~label ~jobs ~budget ~store ~resume ~crash_after ~keep_estimates:verify spec
     in
-    let journal, replayed = journal in
-    let writer = Option.map fst journal in
-    let completed = Hashtbl.create 64 in
-    List.iter
-      (fun payload ->
-        match Grid.cell_of_wire payload with
-        | Ok cell -> Hashtbl.replace completed (Grid.point_key cell.Grid.point) cell
-        | Error _ -> ())
-      replayed;
-    if Hashtbl.length completed > 0 then
-      Printf.eprintf "grid: resuming: %d completed cell(s) replayed from the journal\n"
-        (Hashtbl.length completed);
-    bail_if_cancelled ?journal:writer "grid";
-    (* [on_cell] runs on worker domains in completion order; the
-       journal writer is serialised under a mutex, and the crash hook
-       fires under the same lock so the append count is exact. *)
-    let append_lock = Mutex.create () in
-    let appended = ref 0 in
-    let on_cell cell =
-      match journal with
-      | None -> ()
-      | Some (w, path) ->
-        Mutex.lock append_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock append_lock)
-          (fun () ->
-            Store.Journal.append w (Grid.cell_to_wire cell);
-            incr appended;
-            maybe_crash crash_after ~appended:!appended ~journal_path:path)
-    in
-    let results =
-      Grid.run ~jobs ?budget ?store
-        ~skip:(fun point -> Hashtbl.find_opt completed (Grid.point_key point))
-        ~on_cell spec
-    in
-    Option.iter Store.Journal.close writer;
-    bail_if_cancelled "grid";
-    let failures =
-      List.filter_map
-        (fun (point, outcome) ->
-          match outcome with Ok _ -> None | Error e -> Some (point, e))
-        results
-    in
-    List.iter
-      (fun (point, e) ->
-        Printf.eprintf "grid: cell %s failed: %s\n" (Grid.point_key point)
-          (Robust.Pwcet_error.to_string e))
-      failures;
+    let results = batch.results in
     (* The comparison matrix, one panel per (benchmark, geometry). *)
     let last_panel = ref None in
     List.iter
@@ -891,8 +689,12 @@ let grid_cmd =
           Printf.printf "%s\n" (rung_tag cell.Grid.rung))
       results;
     let digest = Grid.digest results in
+    let ok_cells =
+      List.filter_map (fun (_, outcome) -> Result.to_option outcome) results
+    in
+    let failed = List.length results - List.length ok_cells in
     Printf.printf "\ncells  : %d (%d replayed, %d failed)\n" (List.length results)
-      (Hashtbl.length completed) (List.length failures);
+      batch.replayed failed;
     Printf.printf "digest : %s\n" digest;
     (match json_file with
     | None -> ()
@@ -903,11 +705,6 @@ let grid_cmd =
         (String.concat ", " (List.map (Printf.sprintf "%.17g") targets));
       Printf.bprintf buf "  \"digest\": %S,\n" digest;
       Buffer.add_string buf "  \"cells\": [\n";
-      let ok_cells =
-        List.filter_map
-          (fun (_, outcome) -> match outcome with Ok c -> Some c | Error _ -> None)
-          results
-      in
       List.iteri
         (fun i cell ->
           let cfg = cell.Grid.point.Grid.config in
@@ -926,56 +723,16 @@ let grid_cmd =
             (if i = List.length ok_cells - 1 then "" else ","))
         ok_cells;
       Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out file in
-      Buffer.output_buffer oc buf;
-      close_out oc;
+      write_json file buf;
       Printf.printf "wrote %s\n" file);
     if verify then begin
-      (* Re-run every cell as an independent end-to-end estimate —
-         deliberately WITHOUT the store — and demand equal quantiles,
-         pbf and provenance. The one-pass sharing must be a pure
-         refactoring of the computation, never an approximation. *)
-      let tasks = Hashtbl.create 16 in
-      List.iter
-        (fun (name, program) ->
-          List.iter
-            (fun config ->
-              Hashtbl.replace tasks (name, config)
-                (Pwcet.Estimator.prepare ~program ~config ~engine ~exact ()))
-            configs)
-        benchmarks;
-      let mismatches = ref 0 in
-      List.iter
-        (fun (point, outcome) ->
-          match outcome with
-          | Error _ -> incr mismatches
-          | Ok cell ->
-            let task = Hashtbl.find tasks (point.Grid.bench, point.Grid.config) in
-            let independent =
-              Pwcet.Estimator.estimate task ~pfail:point.Grid.pfail
-                ~mechanism:point.Grid.mechanism ~engine ~exact ~jobs ~impl ()
-            in
-            let same =
-              Pwcet.Estimator.fault_free_wcet task = cell.Grid.wcet_ff
-              && independent.Pwcet.Estimator.pbf = cell.Grid.pbf
-              && List.for_all
-                   (fun (target, q) -> Pwcet.Estimator.pwcet independent ~target = q)
-                   cell.Grid.pwcets
-              && Robust.Rung.equal (Pwcet.Estimator.worst_rung independent) cell.Grid.rung
-            in
-            if not same then begin
-              incr mismatches;
-              Printf.eprintf "verify FAILED: cell %s differs from an independent estimate\n"
-                (Grid.point_key point)
-            end)
-        results;
-      if !mismatches > 0 then exit 1
+      if verify_batch ~jobs ~budget spec batch > 0 then exit 1
       else
         Printf.printf "verify : all %d cells bit-identical to independent estimates\n"
           (List.length results)
     end;
     report_store_stats store;
-    if failures <> [] then exit 1
+    if failed > 0 then exit 1
   in
   let benches_arg =
     Arg.(value & pos_all string []
@@ -997,172 +754,192 @@ let grid_cmd =
                    mechanisms at a geometry share one set of degraded-classification \
                    fixpoints; unknown names are rejected with exit 2.")
   in
-  let grid_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) [ 1e-6; 1e-5; 1e-4; 1e-3 ]
-         & info [ "pfail-grid" ] ~docv:"P,P,..."
-             ~doc:"Comma-separated pfail grid; only the binomial reweighting, convolution \
-                   and quantile read-off are redone per point.")
-  in
-  let targets_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) [ default_target ]
-         & info [ "targets" ] ~docv:"P,P,..."
-             ~doc:"Comma-separated exceedance targets; one pWCET column per target.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Also write the machine-readable comparison matrix as JSON to $(docv).")
-  in
-  let verify_arg =
-    Arg.(value & flag
-         & info [ "verify" ]
-             ~doc:"Cross-check every grid cell against an independent end-to-end estimate \
-                   (equal pWCET quantiles, pbf and degradation provenance); exit 1 on any \
-                   mismatch.")
-  in
   Cmd.v
     (cmd_info "grid"
        ~doc:"One-pass benchmark x geometry x mechanism x pfail comparison grid: per-geometry \
              analysis stages are computed once and shared, cells are scheduled on a \
              work-stealing pool, and the matrix is bit-identical to independent per-cell \
              runs for every --jobs value")
-    Term.(const run $ benches_arg $ geometries_arg $ mechanisms_arg $ grid_arg $ targets_arg
-          $ engine_arg $ exact_arg $ jobs_arg $ impl_arg $ ilp_nodes_arg $ timeout_arg
-          $ json_arg $ verify_arg $ cache_dir_arg $ no_cache_arg $ resume_arg
-          $ crash_after_arg)
+    Term.(const run $ benches_arg $ geometries_arg $ mechanisms_arg $ pfail_grid_arg
+          $ targets_arg $ engine_arg $ exact_arg $ jobs_arg $ impl_arg $ ilp_nodes_arg
+          $ timeout_arg $ json_arg "machine-readable comparison matrix" $ verify_arg
+          $ cache_dir_arg $ no_cache_arg $ resume_arg $ crash_after_arg)
+
+(* --- sweep ------------------------------------------------------------------ *)
+
+let sweep_cmd =
+  let run name grid targets sets ways line engine exact jobs impl ilp_nodes timeout mechanisms
+      json_file verify cache_dir no_cache resume crash_after =
+    let label = "sweep" in
+    require_axes ~label grid targets;
+    let budget = budget_of ilp_nodes timeout in
+    check_resume_args ~label ~resume ~cache_dir ~budget ~verify;
+    let bench, compiled = compile_target name in
+    let program = compiled.Minic.Compile.program in
+    let config = config_of sets ways line in
+    let store = store_of cache_dir no_cache in
+    let spec =
+      { Grid.benchmarks = [ (bench, program) ]; configs = [ config ]; mechanisms;
+        pfail_grid = grid; targets; engine; exact; impl }
+    in
+    let batch =
+      run_batch ~label ~jobs ~budget ~store ~resume ~crash_after ~keep_estimates:true spec
+    in
+    let cells = cells_or_exit batch in
+    let wcet_ff = (List.hd cells).Grid.wcet_ff in
+    let fresh cell = Hashtbl.find_opt batch.estimates (Grid.point_key cell.Grid.point) in
+    List.iter
+      (fun cell ->
+        Option.iter
+          (report_degradation (Pwcet.Mechanism.short_name cell.Grid.point.Grid.mechanism))
+          (fresh cell))
+      cells;
+    (* The header shows the fault-free WCET stage's own rung, which a
+       cell only folds into its worst rung: read it off any fresh
+       estimate, or re-prepare (WCET served from the store) when the
+       whole sweep was replayed. *)
+    let wcet_rung =
+      match List.find_map fresh cells with
+      | Some est -> est.Pwcet.Estimator.task.Pwcet.Estimator.wcet_rung
+      | None ->
+        (Pwcet.Estimator.prepare ~program ~config ~engine ~exact ?store ())
+          .Pwcet.Estimator.wcet_rung
+    in
+    let results =
+      List.map
+        (fun mech ->
+          ( mech,
+            List.filter
+              (fun cell -> Pwcet.Mechanism.equal cell.Grid.point.Grid.mechanism mech)
+              cells ))
+        mechanisms
+    in
+    Printf.printf "benchmark      : %s\n" bench;
+    Format.printf "cache          : %a@." Cache.Config.pp config;
+    Printf.printf "fault-free WCET: %d cycles%s\n" wcet_ff (rung_tag wcet_rung);
+    List.iter
+      (fun (mech, cells) ->
+        Printf.printf "\n%s\n" (Pwcet.Mechanism.name mech);
+        Printf.printf "  %-12s" "pfail";
+        List.iter (fun t -> Printf.printf "  pWCET(%g)" t) targets;
+        print_newline ();
+        List.iter
+          (fun cell ->
+            Printf.printf "  %-12g" cell.Grid.point.Grid.pfail;
+            List.iter (fun (_, q) -> Printf.printf "  %10d" q) cell.Grid.pwcets;
+            Printf.printf "%s\n" (rung_tag cell.Grid.rung))
+          cells)
+      results;
+    (match json_file with
+    | None -> ()
+    | Some file ->
+      let buf = Buffer.create 1024 in
+      Buffer.add_string buf "{\n";
+      Buffer.add_string buf "  \"schema_version\": 1,\n";
+      Printf.bprintf buf "  \"benchmark\": %S,\n" bench;
+      Printf.bprintf buf "  \"geometry\": { \"sets\": %d, \"ways\": %d, \"line_bytes\": %d },\n"
+        sets ways line;
+      Printf.bprintf buf "  \"wcet_ff\": %d,\n" wcet_ff;
+      Printf.bprintf buf "  \"targets\": [%s],\n"
+        (String.concat ", " (List.map (Printf.sprintf "%.17g") targets));
+      Buffer.add_string buf "  \"mechanisms\": [\n";
+      List.iteri
+        (fun i (mech, cells) ->
+          Printf.bprintf buf "    { \"mechanism\": %S,\n      \"points\": [\n"
+            (Pwcet.Mechanism.short_name mech);
+          List.iteri
+            (fun j cell ->
+              Printf.bprintf buf "        { \"pfail\": %.17g, \"pbf\": %.17g, \"pwcet\": [%s] }%s\n"
+                cell.Grid.point.Grid.pfail cell.Grid.pbf
+                (String.concat ", " (List.map (fun (_, q) -> string_of_int q) cell.Grid.pwcets))
+                (if j = List.length cells - 1 then "" else ","))
+            cells;
+          Printf.bprintf buf "      ] }%s\n" (if i = List.length results - 1 then "" else ","))
+        results;
+      Buffer.add_string buf "  ]\n}\n";
+      write_json file buf;
+      Printf.printf "\nwrote %s\n" file);
+    if verify then begin
+      if verify_batch ~jobs ~budget spec batch > 0 then exit 1
+      else
+        Printf.printf "\nverify: all %d sweep points bit-identical to independent estimates\n"
+          (List.length cells)
+    end;
+    report_store_stats store
+  in
+  let mechanism_conv =
+    Arg.enum
+      [ ("none", [ Pwcet.Mechanism.No_protection ])
+      ; ("srb", [ Pwcet.Mechanism.Shared_reliable_buffer ])
+      ; ("rw", [ Pwcet.Mechanism.Reliable_way ])
+      ; ("all", Pwcet.Mechanism.all)
+      ]
+  in
+  let mechanism_arg =
+    Arg.(value & opt mechanism_conv Pwcet.Mechanism.all
+         & info [ "mechanism" ] ~docv:"MECH"
+             ~doc:"Mechanism to sweep: 'none', 'srb', 'rw' or 'all' (default).")
+  in
+  Cmd.v
+    (cmd_info "sweep"
+       ~doc:"pWCET sensitivity sweep over a pfail grid (Fig. 5-style): a one-benchmark, \
+             one-geometry grid, computing the pfail-independent analysis once")
+    Term.(const run $ bench_arg $ pfail_grid_arg $ targets_arg $ sets_arg $ ways_arg
+          $ line_arg $ engine_arg $ exact_arg $ jobs_arg $ impl_arg $ ilp_nodes_arg
+          $ timeout_arg $ mechanism_arg $ json_arg "sweep table" $ verify_arg $ cache_dir_arg
+          $ no_cache_arg $ resume_arg $ crash_after_arg)
 
 (* --- suite ------------------------------------------------------------------ *)
-
-let suite_row config ~pfail ~target ~engine ~exact ~jobs ?budget ?store (name, program) =
-  let task = Pwcet.Estimator.prepare ~program ~config ~engine ~exact ?budget ?store () in
-  let worst = ref task.Pwcet.Estimator.wcet_rung in
-  let pwcet mech =
-    let est =
-      Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~engine ~exact ~jobs ?budget ?store ()
-    in
-    worst := Robust.Rung.worst !worst (Pwcet.Estimator.worst_rung est);
-    Pwcet.Estimator.pwcet est ~target
-  in
-  let row =
-    {
-      Pwcet.Report_data.name;
-      wcet_ff = Pwcet.Estimator.fault_free_wcet task;
-      pwcet_none = pwcet Pwcet.Mechanism.No_protection;
-      pwcet_srb = pwcet Pwcet.Mechanism.Shared_reliable_buffer;
-      pwcet_rw = pwcet Pwcet.Mechanism.Reliable_way;
-    }
-  in
-  (row, !worst)
-
-(* One journal record per completed benchmark row. *)
-let suite_row_payload (row : Pwcet.Report_data.row) rung =
-  let w = Store.Wire.writer () in
-  Store.Wire.put_string w row.Pwcet.Report_data.name;
-  Store.Wire.put_int w row.Pwcet.Report_data.wcet_ff;
-  Store.Wire.put_int w row.Pwcet.Report_data.pwcet_none;
-  Store.Wire.put_int w row.Pwcet.Report_data.pwcet_srb;
-  Store.Wire.put_int w row.Pwcet.Report_data.pwcet_rw;
-  Store.Wire.put_int w (Robust.Rung.to_tag rung);
-  Store.Wire.contents w
-
-let suite_row_of_payload payload =
-  match
-    Store.Wire.decode payload (fun r ->
-        let name = Store.Wire.get_string r in
-        let wcet_ff = Store.Wire.get_int r in
-        let pwcet_none = Store.Wire.get_int r in
-        let pwcet_srb = Store.Wire.get_int r in
-        let pwcet_rw = Store.Wire.get_int r in
-        let rung =
-          match Robust.Rung.of_tag (Store.Wire.get_int r) with
-          | Some rung -> rung
-          | None -> Store.Wire.malformed "bad rung tag"
-        in
-        ({ Pwcet.Report_data.name; wcet_ff; pwcet_none; pwcet_srb; pwcet_rw }, rung))
-  with
-  | Ok v -> Some v
-  | Error _ -> None
 
 let suite_cmd =
   let run pfail target sets ways line engine exact jobs ilp_nodes timeout cache_dir no_cache
       resume crash_after =
-    if resume && cache_dir = None then begin
-      Printf.eprintf "suite: --resume requires --cache-dir (the journal lives there)\n";
-      exit exit_invalid_input
-    end;
-    if resume && (ilp_nodes <> None || timeout <> None) then begin
-      Printf.eprintf "suite: --resume is incompatible with budget options (budgeted \
-                      results depend on wall-clock and are never journalled)\n";
-      exit exit_invalid_input
-    end;
-    install_cancel_handlers ();
-    let config = config_of sets ways line in
+    let label = "suite" in
     let budget = budget_of ilp_nodes timeout in
+    check_resume_args ~label ~resume ~cache_dir ~budget ~verify:false;
+    let config = config_of sets ways line in
     let store = store_of cache_dir no_cache in
-    let entries =
+    let benchmarks =
       List.map
         (fun (e : Benchmarks.Registry.entry) ->
           ( e.Benchmarks.Registry.name,
             (Minic.Compile.compile e.Benchmarks.Registry.program).Minic.Compile.program ))
         Benchmarks.Registry.all
     in
-    let run_key =
-      Store.Artifact.key
-        ([ ("run", "suite");
-           ("code", Pwcet.Estimator.code_version);
-           ("config", Format.asprintf "%a" Cache.Config.pp config);
-           ("pfail", float_key pfail);
-           ("target", float_key target);
-           ("engine", engine_tag engine);
-           ("exact", string_of_bool exact) ]
-        @ List.map
-            (fun (name, program) ->
-              (name, Digest.to_hex (Digest.string (Format.asprintf "%a" Isa.Program.pp program))))
-            entries)
+    let spec =
+      { Grid.benchmarks; configs = [ config ]; mechanisms = Pwcet.Mechanism.all;
+        pfail_grid = [ pfail ]; targets = [ target ]; engine; exact; impl = `Sliced }
     in
-    let journal, replayed =
-      match store with
-      | Some st when budget = None ->
-        let path = Store.Artifact.journal_path st ~run_key in
-        if resume then
-          let w, units = Store.Journal.resume ~path ~run_key () in
-          (Some (w, path), units)
-        else (Some (Store.Journal.create ~path ~run_key (), path), [])
-      | _ -> (None, [])
+    let cells =
+      cells_or_exit
+        (run_batch ~label ~jobs ~budget ~store ~resume ~crash_after ~keep_estimates:false spec)
     in
-    let writer = Option.map fst journal in
-    let completed = Hashtbl.create 16 in
-    List.iter
-      (fun payload ->
-        match suite_row_of_payload payload with
-        | Some (row, rung) -> Hashtbl.replace completed row.Pwcet.Report_data.name (row, rung)
-        | None -> ())
-      replayed;
-    if Hashtbl.length completed > 0 then
-      Printf.eprintf "suite: resuming: %d completed benchmark(s) replayed from the journal\n"
-        (Hashtbl.length completed);
-    let appended = ref 0 in
     let rows =
       List.map
-        (fun (name, program) ->
-          bail_if_cancelled ?journal:writer "suite";
-          match Hashtbl.find_opt completed name with
-          | Some cached -> cached
-          | None ->
-            let (row, rung) =
-              suite_row config ~pfail ~target ~engine ~exact ~jobs ?budget ?store
-                (name, program)
-            in
-            (match journal with
-            | None -> ()
-            | Some (w, path) ->
-              Store.Journal.append w (suite_row_payload row rung);
-              incr appended;
-              maybe_crash crash_after ~appended:!appended ~journal_path:path);
-            (row, rung))
-        entries
+        (fun (name, _) ->
+          let cell mech =
+            List.find
+              (fun c ->
+                c.Grid.point.Grid.bench = name
+                && Pwcet.Mechanism.equal c.Grid.point.Grid.mechanism mech)
+              cells
+          in
+          let pwcet mech = snd (List.hd (cell mech).Grid.pwcets) in
+          let rung =
+            List.fold_left
+              (fun r mech -> Robust.Rung.worst r (cell mech).Grid.rung)
+              Robust.Rung.Exact Pwcet.Mechanism.all
+          in
+          ( {
+              Pwcet.Report_data.name;
+              wcet_ff = (cell Pwcet.Mechanism.No_protection).Grid.wcet_ff;
+              pwcet_none = pwcet Pwcet.Mechanism.No_protection;
+              pwcet_srb = pwcet Pwcet.Mechanism.Shared_reliable_buffer;
+              pwcet_rw = pwcet Pwcet.Mechanism.Reliable_way;
+            },
+            rung ))
+        benchmarks
     in
-    Option.iter Store.Journal.close writer;
     print_string (Reporting.Table.fig4 (List.map fst rows));
     print_newline ();
     print_string (Reporting.Table.aggregates (List.map fst rows));
@@ -1177,7 +954,10 @@ let suite_cmd =
       Printf.printf "\ndegraded (budget-limited, still sound): %s\n" (String.concat ", " degraded);
     report_store_stats store
   in
-  Cmd.v (cmd_info "suite" ~doc:"Fig. 4 table: the whole suite under all three mechanisms")
+  Cmd.v
+    (cmd_info "suite"
+       ~doc:"Fig. 4 table: the whole suite under all three mechanisms, run as a \
+             registry x one geometry x all mechanisms x one pfail grid")
     Term.(const run $ pfail_arg $ target_arg $ sets_arg $ ways_arg $ line_arg $ engine_arg
           $ exact_arg $ jobs_arg $ ilp_nodes_arg $ timeout_arg $ cache_dir_arg $ no_cache_arg
           $ resume_arg $ crash_after_arg)
@@ -1861,59 +1641,27 @@ let sched_json results (spec : Sched.Campaign.spec) digest file =
       Printf.bprintf buf "      ] }%s\n" (if i = List.length results - 1 then "" else ","))
     results;
   Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out file in
-  Buffer.output_buffer oc buf;
-  close_out oc;
+  write_json file buf;
   Printf.printf "wrote %s\n" file
 
 let sched_analyze_cmd =
   let run (spec : Sched.Campaign.spec) jobs ilp_nodes timeout mc_samples mc_seed json_file
       per_set cache_dir no_cache resume crash_after =
-    if resume && cache_dir = None then begin
-      Printf.eprintf "sched analyze: --resume requires --cache-dir (the journal lives there)\n";
-      exit exit_invalid_input
-    end;
-    if resume && (ilp_nodes <> None || timeout <> None) then begin
-      Printf.eprintf
-        "sched analyze: --resume is incompatible with budget options (budgeted results \
-         depend on wall-clock and are never journalled)\n";
-      exit exit_invalid_input
-    end;
-    install_cancel_handlers ();
+    let label = "sched analyze" in
     let budget = budget_of ilp_nodes timeout in
+    check_resume_args ~label ~resume ~cache_dir ~budget ~verify:false;
+    install_cancel_handlers ();
     let store = store_of cache_dir no_cache in
     let laws = Sched.Campaign.laws ?store ?budget ~jobs spec in
-    let run_key = Store.Artifact.key (Sched.Campaign.identity spec) in
     let journal, replayed =
-      match store with
-      | Some st when budget = None ->
-        let path = Store.Artifact.journal_path st ~run_key in
-        if resume then
-          let w, units = Store.Journal.resume ~path ~run_key () in
-          (Some (w, path), units)
-        else (Some (Store.Journal.create ~path ~run_key (), path), [])
-      | _ -> (None, [])
+      open_journal ~label ~unit_name:"set" ~decode:Sched.Campaign.result_of_wire ~resume
+        ~crash_after ~budget store
+        (fun () -> Store.Artifact.key (Sched.Campaign.identity spec))
     in
-    let writer = Option.map fst journal in
     let completed = Hashtbl.create 64 in
     List.iter
-      (fun payload ->
-        match Sched.Campaign.result_of_wire payload with
-        | Ok r -> Hashtbl.replace completed r.set_index r
-        | Error _ -> ())
+      (fun (r : Sched.Campaign.set_result) -> Hashtbl.replace completed r.set_index r)
       replayed;
-    if Hashtbl.length completed > 0 then
-      Printf.eprintf "sched analyze: resuming: %d completed set(s) replayed from the journal\n"
-        (Hashtbl.length completed);
-    let appended = ref 0 in
-    let append_result r =
-      match journal with
-      | None -> ()
-      | Some (w, path) ->
-        Store.Journal.append w (Sched.Campaign.result_to_wire r);
-        incr appended;
-        maybe_crash crash_after ~appended:!appended ~journal_path:path
-    in
     let mcs = ref [] in
     let results =
       match journal with
@@ -1925,7 +1673,7 @@ let sched_analyze_cmd =
            results either way). *)
         let out = ref [] in
         for index = 0 to spec.count - 1 do
-          bail_if_cancelled ?journal:writer "sched analyze";
+          bail_if_cancelled ?journal label;
           let r =
             match Hashtbl.find_opt completed index with
             | Some r -> r
@@ -1934,7 +1682,7 @@ let sched_analyze_cmd =
                 Sched.Campaign.analyze_set ?budget ~mc_samples ?mc_seed spec laws ~index
               in
               Option.iter (fun m -> mcs := (index, m) :: !mcs) mc;
-              append_result r;
+              unit_done ~label journal (Sched.Campaign.result_to_wire r);
               r
           in
           out := r :: !out
@@ -1945,7 +1693,7 @@ let sched_analyze_cmd =
         mcs := List.rev t.Sched.Campaign.mc;
         t.Sched.Campaign.results
     in
-    Option.iter Store.Journal.close writer;
+    close_journal journal;
     let digest = Sched.Campaign.digest_of_results results in
     print_sched_summary spec results digest;
     if per_set then print_sched_per_set results;
@@ -2085,9 +1833,7 @@ let sched_sweep_cmd =
             (if i = List.length rows - 1 then "" else ","))
         rows;
       Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out file in
-      Buffer.output_buffer oc buf;
-      close_out oc;
+      write_json file buf;
       Printf.printf "wrote %s\n" file);
     report_store_stats store
   in

@@ -194,7 +194,7 @@ let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
     cached ~store ~budget
       ~parts:
         (("artifact", "penalty")
-        :: ("pfail", Int64.to_string (Int64.bits_of_float pfail))
+        :: ("pfail", Store.Artifact.float_key pfail)
         :: parts)
       ~kind:dist_kind ~version:dist_version ~encode:Prob.Dist.to_wire ~decode:Prob.Dist.of_wire
       (fun () -> Penalty.total_distribution ~jobs ~fmm ~pbf ())

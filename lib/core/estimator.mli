@@ -50,6 +50,13 @@ val artifact_kinds : (string * int) list
     format versions — what [cache verify] passes to
     {!Store.Artifact.verify} as [expected]. *)
 
+val engine_tag : [ `Path | `Ilp ] -> string
+(** ["path"] / ["ilp"]: the engine's name in every key and on the wire. *)
+
+val impl_tag : [ `Naive | `Sliced ] -> string
+(** ["naive"] / ["sliced"]: the FMM engine's name in every key and on
+    the wire. *)
+
 val identity_of : program:Isa.Program.t -> config:Cache.Config.t -> (string * string) list
 (** The labelled identity components the [task] produced by {!prepare}
     for this program and configuration will carry — code version,

@@ -31,13 +31,14 @@ type cell = {
   degraded : int;
 }
 
-let float_key f = Int64.to_string (Int64.bits_of_float f)
+let panel_key bench config =
+  Printf.sprintf "%s/%dx%dx%d+%d+%d" bench config.Cache.Config.sets config.Cache.Config.ways
+    config.Cache.Config.line_bytes config.Cache.Config.hit_latency
+    config.Cache.Config.miss_latency
 
 let point_key p =
-  Printf.sprintf "%s/%dx%dx%d+%d+%d/%s/%s" p.bench p.config.Cache.Config.sets
-    p.config.Cache.Config.ways p.config.Cache.Config.line_bytes
-    p.config.Cache.Config.hit_latency p.config.Cache.Config.miss_latency
-    (Mechanism.short_name p.mechanism) (float_key p.pfail)
+  Printf.sprintf "%s/%s/%s" (panel_key p.bench p.config) (Mechanism.short_name p.mechanism)
+    (Store.Artifact.float_key p.pfail)
 
 (* Canonical cell order: benchmark x geometry x mechanism x pfail, each
    axis in spec order.  Every consumer — the DAG result merge, the
@@ -56,9 +57,6 @@ let points spec =
         spec.configs)
     spec.benchmarks
 
-let engine_tag = function `Path -> "path" | `Ilp -> "ilp"
-let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
-
 (* Labelled content identity of the whole grid — program digests,
    geometries, axes and engine flags — for resume-journal run keys and
    daemon request dedup.  Reuses the per-(program, geometry) identity
@@ -72,11 +70,11 @@ let identity spec =
         spec.configs)
     spec.benchmarks
   @ [ ("mechanisms", String.concat "," (List.map Mechanism.short_name spec.mechanisms));
-      ("pfail-grid", String.concat "," (List.map float_key spec.pfail_grid));
-      ("targets", String.concat "," (List.map float_key spec.targets));
-      ("engine", engine_tag spec.engine);
+      ("pfail-grid", String.concat "," (List.map Store.Artifact.float_key spec.pfail_grid));
+      ("targets", String.concat "," (List.map Store.Artifact.float_key spec.targets));
+      ("engine", Estimator.engine_tag spec.engine);
       ("exact", string_of_bool spec.exact);
-      ("impl", impl_tag spec.impl) ]
+      ("impl", Estimator.impl_tag spec.impl) ]
 
 (* --- canonical cell serialization (journal payloads, digests) ----------- *)
 
@@ -163,15 +161,38 @@ let digest results =
    (the f < W row prefixes are mechanism-independent, so all
    mechanisms' maps cost roughly one), and one cheap node per
    (mechanism, pfail) cell (binomial reweight + convolution +
-   quantiles).  Inner stages run at jobs:1 — the DAG itself is the
-   parallelism, and nesting domain fan-outs would oversubscribe. *)
+   quantiles).  The DAG itself is the parallelism, and every stage
+   inside a node runs at jobs:1 — unless fewer panels need computing
+   than there are domains.  Then the DAG runs on one domain per panel
+   and each node's own fan-out (the FMM's per-set analyses, the
+   penalty's per-set builds) gets [jobs / panels]: a single-panel grid
+   is then as parallel as a standalone estimate, with no DAG worker
+   idling beside the FMM's own domains (measured ~15% slower at jobs
+   2 on one panel), and a wide grid never nests fan-outs. *)
 type value =
   | Panel of Estimator.task * (Mechanism.t * Fmm.t) list
   | Cell of cell
 
 let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
   let skip = match skip with Some f -> f | None -> fun _ -> None in
-  let all_points = points spec in
+  (* Each canonical point resolves to either its replayed cell or the
+     DAG node that computes it. *)
+  let slots =
+    List.map
+      (fun point ->
+        match skip point with Some cell -> `Replayed (point, cell) | None -> `Node point)
+      (points spec)
+  in
+  let panels_to_compute =
+    List.sort_uniq compare
+      (List.filter_map
+         (function `Node p -> Some (panel_key p.bench p.config) | `Replayed _ -> None)
+         slots)
+  in
+  let n_panels = List.length panels_to_compute in
+  let dag_jobs, inner_jobs =
+    if n_panels > 0 && n_panels < jobs then (n_panels, jobs / n_panels) else (jobs, 1)
+  in
   let nodes = ref [] in
   let n_nodes = ref 0 in
   let push node =
@@ -180,20 +201,7 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
     incr n_nodes;
     idx
   in
-  (* slots.(i) resolves each canonical point to either its replayed
-     cell or the DAG node that computes it. *)
-  let slots =
-    List.map
-      (fun point ->
-        match skip point with Some cell -> `Replayed (point, cell) | None -> `Node point)
-      all_points
-  in
   let panel_index : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let panel_key bench config =
-    Printf.sprintf "%s/%dx%dx%d+%d+%d" bench config.Cache.Config.sets config.Cache.Config.ways
-      config.Cache.Config.line_bytes config.Cache.Config.hit_latency
-      config.Cache.Config.miss_latency
-  in
   let programs = Hashtbl.create 16 in
   List.iter (fun (name, program) -> Hashtbl.replace programs name program) spec.benchmarks;
   (* A panel node is created lazily, only when some cell of that panel
@@ -216,7 +224,7 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
                 in
                 let fmms =
                   Estimator.fmm_grid task ~mechanisms:spec.mechanisms ~engine:spec.engine
-                    ~exact:spec.exact ~jobs:1 ~impl:spec.impl ?budget ?store ()
+                    ~exact:spec.exact ~jobs:inner_jobs ~impl:spec.impl ?budget ?store ()
                 in
                 Panel (task, fmms));
           }
@@ -245,8 +253,8 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
                     in
                     let e =
                       Estimator.estimate_of_fmm task ~fmm ~pfail:point.pfail
-                        ~engine:spec.engine ~exact:spec.exact ~jobs:1 ~impl:spec.impl ?budget
-                        ?store ()
+                        ~engine:spec.engine ~exact:spec.exact ~jobs:inner_jobs ~impl:spec.impl
+                        ?budget ?store ()
                     in
                     let cell =
                       {
@@ -261,7 +269,7 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
                         degraded = Fmm.degraded_cells fmm;
                       }
                     in
-                    (match on_cell with Some f -> f cell | None -> ());
+                    (match on_cell with Some f -> f cell e | None -> ());
                     Cell cell);
               }
           in
@@ -273,12 +281,11 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
      each of which degrades internally and completes — a starved grid
      yields looser cells, not missing ones.  [run_dag]'s own deadline
      refusal is deliberately not armed here for that reason. *)
-  let outcomes = Parallel.Pool.run_dag ?chaos ~jobs node_array in
+  let outcomes = Parallel.Pool.run_dag ?chaos ~jobs:dag_jobs node_array in
   List.map
     (fun slot ->
       match slot with
       | `Replayed (point, cell) -> (point, Ok cell)
-      | `Node _ -> assert false
       | `Computed (point, idx) -> (
         match outcomes.(idx) with
         | Ok (Cell cell) -> (point, Ok cell)

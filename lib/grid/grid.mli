@@ -74,7 +74,7 @@ val run :
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   ?skip:(point -> cell option) ->
-  ?on_cell:(cell -> unit) ->
+  ?on_cell:(cell -> Pwcet.Estimator.estimate -> unit) ->
   ?chaos:Chaos.Injector.t ->
   spec ->
   (point * (cell, Robust.Pwcet_error.t) result) list
@@ -83,9 +83,12 @@ val run :
     bit-identical for every value. [skip] short-circuits points whose
     cell is already known (journal replay) — a fully replayed panel
     never even builds its analysis nodes. [on_cell] observes each
-    {e freshly computed} cell as it completes, possibly from a worker
-    domain and in completion (not canonical) order — callers that
-    append to a journal must serialise themselves.
+    {e freshly computed} cell, with the estimate behind it, as it
+    completes, possibly from a worker domain and in completion (not
+    canonical) order — callers that append to a journal must serialise
+    themselves. When fewer panels need computing than [jobs], the DAG
+    runs one domain per panel and the spare domains go to each panel's
+    FMM and each cell's penalty stage.
 
     [budget] is threaded into every analysis stage, each of which
     degrades internally and completes — a starved grid yields looser

@@ -97,28 +97,26 @@ let make ?(count = 100) ?(n_tasks = 4) ?(utilisation = 0.6) ?(seed = 42)
   in
   Result.map (fun () -> spec) (validate spec)
 
-let float_key f = Int64.to_string (Int64.bits_of_float f)
-
 let identity spec =
   [
     ("kind", "sched-campaign");
     ("code", Pwcet.Estimator.code_version);
     ("count", string_of_int spec.count);
     ("n_tasks", string_of_int spec.n_tasks);
-    ("utilisation", float_key spec.utilisation);
+    ("utilisation", Store.Artifact.float_key spec.utilisation);
     ("seed", string_of_int spec.seed);
     ("policy", Analysis.policy_name spec.policy);
     ("budget", string_of_int spec.reexec_budget);
     ("k_max", string_of_int spec.k_max);
-    ("targets", String.concat "," (List.map float_key spec.targets));
-    ("pfail", float_key spec.pfail);
+    ("targets", String.concat "," (List.map Store.Artifact.float_key spec.targets));
+    ("pfail", Store.Artifact.float_key spec.pfail);
     ("mechanism", Pwcet.Mechanism.short_name spec.mechanism);
     ("sets", string_of_int spec.sets);
     ("ways", string_of_int spec.ways);
     ("line", string_of_int spec.line);
-    ("fault_rate", float_key spec.fault_rate);
-    ("clock_mhz", float_key spec.clock_mhz);
-    ("rep_target", float_key spec.rep_target);
+    ("fault_rate", Store.Artifact.float_key spec.fault_rate);
+    ("clock_mhz", Store.Artifact.float_key spec.clock_mhz);
+    ("rep_target", Store.Artifact.float_key spec.rep_target);
     ("max_points", string_of_int spec.max_points);
     ("benchmarks", String.concat "," spec.benchmarks);
   ]

@@ -138,9 +138,6 @@ type response =
   | Overloaded of { queued : int; queue_max : int }
   | Error_reply of string
 
-let engine_tag = function `Path -> "path" | `Ilp -> "ilp"
-let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
-
 (* --- encoding -------------------------------------------------------------- *)
 
 let analyze_fields a =
@@ -152,9 +149,9 @@ let analyze_fields a =
     ("sets", Json.Int a.sets);
     ("ways", Json.Int a.ways);
     ("line", Json.Int a.line);
-    ("engine", Json.String (engine_tag a.engine));
+    ("engine", Json.String (Pwcet.Estimator.engine_tag a.engine));
     ("exact", Json.Bool a.exact);
-    ("impl", Json.String (impl_tag a.impl)) ]
+    ("impl", Json.String (Pwcet.Estimator.impl_tag a.impl)) ]
   @ (match a.timeout_ms with None -> [] | Some ms -> [ ("timeout_ms", Json.Int ms) ])
   @ if a.delay_ms = 0 then [] else [ ("delay_ms", Json.Int a.delay_ms) ]
 
@@ -201,9 +198,9 @@ let grid_fields g =
     );
     ("pfail_grid", Json.List (List.map (fun p -> Json.Float p) g.g_pfails));
     ("targets", Json.List (List.map (fun t -> Json.Float t) g.g_targets));
-    ("engine", Json.String (engine_tag g.g_engine));
+    ("engine", Json.String (Pwcet.Estimator.engine_tag g.g_engine));
     ("exact", Json.Bool g.g_exact);
-    ("impl", Json.String (impl_tag g.g_impl)) ]
+    ("impl", Json.String (Pwcet.Estimator.impl_tag g.g_impl)) ]
 
 let request_to_string = function
   | Ping -> Json.to_string (Json.Obj [ ("op", Json.String "ping") ])

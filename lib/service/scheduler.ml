@@ -121,15 +121,12 @@ let cache_result_locked t key est =
     done
   end
 
-(* Exactly the CLI's convention for float-valued key components. *)
-let float_key f = Int64.to_string (Int64.bits_of_float f)
-let engine_tag = function `Path -> "path" | `Ilp -> "ilp"
-let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
-
 let task_key ~identity ~engine ~exact =
   Store.Artifact.key
     (identity
-    @ [ ("service", "task"); ("engine", engine_tag engine); ("exact", string_of_bool exact) ])
+    @ [ ("service", "task");
+        ("engine", Pwcet.Estimator.engine_tag engine);
+        ("exact", string_of_bool exact) ])
 
 (* The dedup key: everything that shapes the computed estimate. The
    exceedance target stays out — waiters read their own quantile from
@@ -140,10 +137,10 @@ let request_key ~identity (a : Protocol.analyze) =
     (identity
     @ [ ("service", "analyze");
         ("mechanism", Pwcet.Mechanism.short_name a.mechanism);
-        ("engine", engine_tag a.engine);
+        ("engine", Pwcet.Estimator.engine_tag a.engine);
         ("exact", string_of_bool a.exact);
-        ("impl", impl_tag a.impl);
-        ("pfail", float_key a.pfail) ])
+        ("impl", Pwcet.Estimator.impl_tag a.impl);
+        ("pfail", Store.Artifact.float_key a.pfail) ])
 
 exception Compute_error of string
 

@@ -71,6 +71,8 @@ let key components =
     components;
   Digest.to_hex (Digest.string (Wire.contents w))
 
+let float_key f = Int64.to_string (Int64.bits_of_float f)
+
 (* objects/<k2>/<key>: two-level fan-out keeps directory listings sane
    on large stores. *)
 let object_path t ~key =

@@ -61,6 +61,11 @@ val key : (string * string) list -> string
     injective in the component list (labels and values are
     length-prefixed before digesting). *)
 
+val float_key : float -> string
+(** The key component of a float: its IEEE-754 bit pattern in decimal,
+    so two values share a component iff they are the same double. Every
+    float-valued component of every key goes through this. *)
+
 val put : t -> key:string -> kind:string -> version:int -> string -> unit
 (** Atomic write-or-replace of the entry. Never raises on I/O failure:
     a failed write counts as [unavailable] (and, on ENOSPC, degrades

@@ -1,8 +1,8 @@
 (** Append-only resume journal for multi-point runs.
 
-    A journal records each completed unit of a long batch — one
-    (benchmark, mechanism, pfail-point) of a sweep, one benchmark row
-    of the suite — as a self-checksummed record, so an interrupted run
+    A journal records each completed unit of a long batch — one grid
+    cell of a grid, sweep or suite run, one task set of a
+    schedulability campaign — as a self-checksummed record, so an interrupted run
     can resume exactly where it stopped and reproduce the
     uninterrupted output bit for bit.
 

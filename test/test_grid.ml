@@ -157,7 +157,7 @@ let test_grid_replay_skip () =
   let resumed =
     Grid.run ~jobs:2
       ~skip:(fun point -> Hashtbl.find_opt replayed (Grid.point_key point))
-      ~on_cell:(fun _ -> incr fresh)
+      ~on_cell:(fun _ _ -> incr fresh)
       spec
   in
   Alcotest.(check string) "resumed digest" (Grid.digest reference) (Grid.digest resumed);
