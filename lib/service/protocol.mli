@@ -104,8 +104,18 @@ type result_payload = {
 
 type stats_payload = {
   requests : int;
-  computations : int;  (** estimate computations actually run *)
-  deduped : int;  (** requests served by joining an in-flight twin *)
+  computations : int;
+      (** successful computations actually run: one per led [analyze]
+          estimate (budgeted ones included), one per led [grid], and
+          for a led [sched] campaign one per per-benchmark estimate it
+          led itself — the campaign adds none of its own. Warm, joined,
+          shed and failed runs add nothing. *)
+  deduped : int;
+      (** joins of an in-flight twin: an [analyze], [sched] or [grid]
+          request that joined an identical running request, plus each
+          per-benchmark estimate of a [sched] campaign that joined one
+          another campaign was computing. Cache hits and the shared
+          preparation stage are not counted. *)
   overloaded : int;  (** requests shed by admission control *)
   errors : int;
   queued : int;  (** jobs accepted but not yet running, right now *)

@@ -10,60 +10,21 @@ type config = {
 let default_config ?store ?chaos () =
   { domains = 2; queue_max = 64; store; task_cache_max = 32; result_cache_max = 256; chaos }
 
-(* A write-once cell: the leader's computation fills it, every waiter
-   (the leader's own connection thread included) blocks on it. *)
-type 'a ivar = { m : Mutex.t; c : Condition.t; mutable v : 'a option }
-
-let ivar () = { m = Mutex.create (); c = Condition.create (); v = None }
-
-let fill iv x =
-  Mutex.lock iv.m;
-  iv.v <- Some x;
-  Condition.broadcast iv.c;
-  Mutex.unlock iv.m
-
-let wait iv =
-  Mutex.lock iv.m;
-  while Option.is_none iv.v do
-    Condition.wait iv.c iv.m
-  done;
-  let x = Option.get iv.v in
-  Mutex.unlock iv.m;
-  x
-
-type outcome = (Pwcet.Estimator.estimate, string) result
-type task_outcome = (Pwcet.Estimator.task, string) result
-
-type sched_summary = { analyzed : int; passes : int; degraded : int; digest : string }
-type sched_outcome = (sched_summary, string) result
-
-type grid_summary = { cells : int; failed : int; grid_digest : string }
-type grid_outcome = (grid_summary, string) result
-
 type t = {
   pool : Parallel.Workers.t;
   store : Store.Artifact.t option;
   queue_max : int;
-  task_cache_max : int;
-  result_cache_max : int;
   started : float;  (* Budget.now scale *)
-  lock : Mutex.t;  (* guards everything below *)
-  inflight : (string, outcome ivar) Hashtbl.t;
-  task_inflight : (string, task_outcome ivar) Hashtbl.t;
-  bench_inflight : (string, outcome ivar) Hashtbl.t;
-      (* per-benchmark estimates led inline by sched campaign jobs —
-         kept apart from [inflight], whose leaders are pool jobs a
-         worker-resident waiter could deadlock against *)
-  sched_inflight : (string, sched_outcome ivar) Hashtbl.t;
-  grid_inflight : (string, grid_outcome ivar) Hashtbl.t;
-  tasks : (string, Pwcet.Estimator.task) Hashtbl.t;
-  task_order : string Queue.t;  (* FIFO eviction for [tasks] *)
-  results : (string, Pwcet.Estimator.estimate) Hashtbl.t;
-  result_order : string Queue.t;  (* FIFO eviction for [results] *)
-  sched_results : (string, sched_summary) Hashtbl.t;
-  sched_order : string Queue.t;  (* FIFO eviction for [sched_results] *)
-  grid_results : (string, grid_summary) Hashtbl.t;
-  grid_order : string Queue.t;  (* FIFO eviction for [grid_results] *)
+  lock : Mutex.t;  (* guards every flight and counter below *)
+  tasks : Pwcet.Estimator.task Singleflight.t;
+  results : Pwcet.Estimator.estimate Singleflight.t;
+  bench_results : Pwcet.Estimator.estimate Singleflight.t;
+      (* per-benchmark estimates led inline by sched campaign jobs: the
+         [results] cache, but its own in-flight table, because a
+         [results] leader is a pool job a worker-resident waiter could
+         deadlock against *)
+  scheds : Protocol.sched_payload Singleflight.t;
+  grids : Protocol.grid_payload Singleflight.t;
   mutable requests : int;
   mutable computations : int;
   mutable deduped : int;
@@ -77,28 +38,21 @@ let create (config : config) =
   if config.task_cache_max < 1 then invalid_arg "Scheduler.create: task_cache_max must be at least 1";
   if config.result_cache_max < 0 then
     invalid_arg "Scheduler.create: result_cache_max must be non-negative";
+  let lock = Mutex.create () in
+  let flight cap = Singleflight.create (Singleflight.cache ~lock cap) in
+  let results = Singleflight.cache ~lock config.result_cache_max in
   { pool =
       Parallel.Workers.create ?chaos:config.chaos ~domains:config.domains
         ~queue_max:config.queue_max ();
     store = config.store;
     queue_max = config.queue_max;
-    task_cache_max = config.task_cache_max;
-    result_cache_max = config.result_cache_max;
     started = Robust.Budget.now ();
-    lock = Mutex.create ();
-    inflight = Hashtbl.create 16;
-    task_inflight = Hashtbl.create 16;
-    bench_inflight = Hashtbl.create 16;
-    sched_inflight = Hashtbl.create 16;
-    grid_inflight = Hashtbl.create 16;
-    tasks = Hashtbl.create 16;
-    task_order = Queue.create ();
-    results = Hashtbl.create 16;
-    result_order = Queue.create ();
-    sched_results = Hashtbl.create 16;
-    sched_order = Queue.create ();
-    grid_results = Hashtbl.create 16;
-    grid_order = Queue.create ();
+    lock;
+    tasks = flight config.task_cache_max;
+    results = Singleflight.create results;
+    bench_results = Singleflight.create results;
+    scheds = flight config.result_cache_max;
+    grids = flight config.result_cache_max;
     requests = 0;
     computations = 0;
     deduped = 0;
@@ -107,19 +61,7 @@ let create (config : config) =
     slow_clients = 0;
     rejected_conns = 0 }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* Caller holds [t.lock]. *)
-let cache_result_locked t key est =
-  if t.result_cache_max > 0 then begin
-    Hashtbl.replace t.results key est;
-    Queue.push key t.result_order;
-    while Hashtbl.length t.results > t.result_cache_max && not (Queue.is_empty t.result_order) do
-      Hashtbl.remove t.results (Queue.pop t.result_order)
-    done
-  end
+let locked t f = Mutex.protect t.lock f
 
 let task_key ~identity ~engine ~exact =
   Store.Artifact.key
@@ -144,52 +86,60 @@ let request_key ~identity (a : Protocol.analyze) =
 
 exception Compute_error of string
 
+(* A computation's outcome for a flight: a typed [Compute_error] becomes
+   its message (any other exception is caught by [Singleflight.run]). *)
+let attempt f = try Ok (f ()) with Compute_error msg -> Error msg
+
+(* [attempt], counting a successful run in [computations] before any
+   waiter can see its value. *)
+let counted t f () =
+  let outcome = attempt f in
+  if Result.is_ok outcome then locked t (fun () -> t.computations <- t.computations + 1);
+  outcome
+
+(* An [on_join] hook: runs under [t.lock], inside the join decision. *)
+let dedup t () = t.deduped <- t.deduped + 1
+
+let ok_or_raise = function Ok v -> v | Error msg -> raise (Compute_error msg)
+
+(* The value of a flight led inline; an error propagates as
+   [Compute_error]. The default inline [submit] never sheds. *)
+let inline_value = function
+  | Singleflight.Warm v -> v
+  | Joined r | Led r -> ok_or_raise r
+  | Shed -> raise (Compute_error Singleflight.shed_error)
+
+let program_of_bench bench =
+  match Benchmarks.Registry.find bench with
+  | None -> Error (Printf.sprintf "unknown benchmark %S; the registry lists the valid names" bench)
+  | Some entry -> (
+    try Ok (Minic.Compile.compile entry.Benchmarks.Registry.program).Minic.Compile.program
+    with Minic.Typecheck.Error msg | Minic.Compile.Error msg -> Error msg)
+
+let geometry ~sets ~ways ~line =
+  try Ok (Cache.Config.make ~sets ~ways ~line_bytes:line ())
+  with Invalid_argument msg -> Error msg
+
 (* Prepared-task cache: bounded, FIFO-evicted, with its own in-flight
    dedup so N concurrent cold requests against one benchmark run the
    expensive preparation (CFG recovery, cache analysis, fault-free
    WCET) once. Only called from worker domains. *)
 let prepared_task t ~program ~config ~identity (a : Protocol.analyze) =
-  let tk = task_key ~identity ~engine:a.engine ~exact:a.exact in
-  let claim =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.tasks tk with
-        | Some task -> `Cached task
-        | None -> (
-          match Hashtbl.find_opt t.task_inflight tk with
-          | Some tiv -> `Join tiv
-          | None ->
-            let tiv = ivar () in
-            Hashtbl.add t.task_inflight tk tiv;
-            `Lead tiv))
-  in
-  match claim with
-  | `Cached task -> task
-  | `Join tiv -> (
-    match wait tiv with Ok task -> task | Error msg -> raise (Compute_error msg))
-  | `Lead tiv -> (
-    let outcome =
-      try
-        Ok
-          (Pwcet.Estimator.prepare ~program ~config ~engine:a.engine ~exact:a.exact
-             ?store:t.store ())
-      with e -> Error (Printexc.to_string e)
-    in
-    locked t (fun () ->
-        Hashtbl.remove t.task_inflight tk;
-        match outcome with
-        | Error _ -> ()
-        | Ok task ->
-          Hashtbl.replace t.tasks tk task;
-          Queue.push tk t.task_order;
-          while Hashtbl.length t.tasks > t.task_cache_max && not (Queue.is_empty t.task_order) do
-            Hashtbl.remove t.tasks (Queue.pop t.task_order)
-          done);
-    fill tiv outcome;
-    match outcome with Ok task -> task | Error msg -> raise (Compute_error msg))
+  inline_value
+    (Singleflight.run t.tasks (task_key ~identity ~engine:a.engine ~exact:a.exact) (fun () ->
+         Ok
+           (Pwcet.Estimator.prepare ~program ~config ~engine:a.engine ~exact:a.exact
+              ?store:t.store ())))
 
-(* The computation a worker domain runs. [jobs:1]: request-level
-   parallelism comes from the pool itself; nested per-set domains
-   would oversubscribe it. *)
+(* The shared, store-backed estimate behind both [analyze] and sched
+   campaigns. [jobs:1]: request-level parallelism comes from the pool
+   itself; nested per-set domains would oversubscribe it. *)
+let estimate t ~program ~config ~identity (a : Protocol.analyze) =
+  let task = prepared_task t ~program ~config ~identity a in
+  Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
+    ~exact:a.exact ~jobs:1 ~impl:a.impl ?store:t.store ()
+
+(* The computation a worker domain runs for an analyze request. *)
 let compute t ~program ~config ~identity ?budget (a : Protocol.analyze) () =
   if a.delay_ms > 0 then Unix.sleepf (float_of_int a.delay_ms /. 1000.0);
   match budget with
@@ -202,28 +152,7 @@ let compute t ~program ~config ~identity ?budget (a : Protocol.analyze) () =
     in
     Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
       ~exact:a.exact ~jobs:1 ~impl:a.impl ~budget:b ()
-  | None ->
-    let task = prepared_task t ~program ~config ~identity a in
-    Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
-      ~exact:a.exact ~jobs:1 ~impl:a.impl ?store:t.store ()
-
-let respond t (a : Protocol.analyze) ~computed (outcome : outcome) : Protocol.response =
-  match outcome with
-  | Ok est ->
-    Protocol.Result
-      { pwcet = Pwcet.Estimator.pwcet est ~target:a.target;
-        wcet_ff = Pwcet.Estimator.fault_free_wcet est.Pwcet.Estimator.task;
-        pbf = est.Pwcet.Estimator.pbf;
-        rung = Robust.Rung.to_string (Pwcet.Estimator.worst_rung est);
-        computed }
-  | Error msg ->
-    locked t (fun () -> t.errors <- t.errors + 1);
-    Protocol.Error_reply msg
-
-let shed t =
-  let queued = Parallel.Workers.queued t.pool in
-  locked t (fun () -> t.overloaded <- t.overloaded + 1);
-  Protocol.Overloaded { queued; queue_max = t.queue_max }
+  | None -> estimate t ~program ~config ~identity a
 
 (* Per-request bookkeeping shared by the three entry points. The
    [ensure_alive] call is the watchdog's second line: every admission
@@ -238,92 +167,51 @@ let admit t =
 let note_slow_client t = locked t (fun () -> t.slow_clients <- t.slow_clients + 1)
 let note_rejected_conn t = locked t (fun () -> t.rejected_conns <- t.rejected_conns + 1)
 
-let run_job t ?budget ~program ~config ~identity (a : Protocol.analyze) iv ~on_done =
-  let job () =
-    let outcome =
-      try Ok (compute t ~program ~config ~identity ?budget a ())
-      with
-      | Compute_error msg -> Error msg
-      | e -> Error (Printexc.to_string e)
-    in
-    on_done outcome;
-    fill iv outcome
-  in
-  Parallel.Workers.submit t.pool job
+let error_reply t msg =
+  locked t (fun () -> t.errors <- t.errors + 1);
+  Protocol.Error_reply msg
+
+let shed t =
+  let queued = Parallel.Workers.queued t.pool in
+  locked t (fun () -> t.overloaded <- t.overloaded + 1);
+  Protocol.Overloaded { queued; queue_max = t.queue_max }
+
+(* One request through [flight] as an admission-controlled pool job:
+   warm, joined, led, or shed, mapped onto the wire reply. *)
+let pooled t flight key ~reply compute =
+  match
+    Singleflight.run flight key ~on_join:(dedup t) ~submit:(Parallel.Workers.submit t.pool)
+      compute
+  with
+  | Singleflight.Warm v | Joined (Ok v) -> reply ~computed:false v
+  | Led (Ok v) -> reply ~computed:true v
+  | Joined (Error msg) | Led (Error msg) -> error_reply t msg
+  | Shed -> shed t
 
 let analyze t (a : Protocol.analyze) : Protocol.response =
   admit t;
-  match Benchmarks.Registry.find a.bench with
-  | None ->
-    locked t (fun () -> t.errors <- t.errors + 1);
-    Protocol.Error_reply
-      (Printf.sprintf "unknown benchmark %S; the registry lists the valid names" a.bench)
-  | Some entry -> (
-    match
-      ( (try Ok (Minic.Compile.compile entry.Benchmarks.Registry.program).Minic.Compile.program
-         with Minic.Typecheck.Error msg | Minic.Compile.Error msg -> Error msg),
-        try Ok (Cache.Config.make ~sets:a.sets ~ways:a.ways ~line_bytes:a.line ())
-        with Invalid_argument msg -> Error msg )
-    with
-    | Error msg, _ | _, Error msg ->
-      locked t (fun () -> t.errors <- t.errors + 1);
-      Protocol.Error_reply msg
-    | Ok program, Ok config -> (
-      let identity = Pwcet.Estimator.identity_of ~program ~config in
+  match (program_of_bench a.bench, geometry ~sets:a.sets ~ways:a.ways ~line:a.line) with
+  | Error msg, _ | _, Error msg -> error_reply t msg
+  | Ok program, Ok config ->
+    let identity = Pwcet.Estimator.identity_of ~program ~config in
+    let reply ~computed est =
+      Protocol.Result
+        { pwcet = Pwcet.Estimator.pwcet est ~target:a.target;
+          wcet_ff = Pwcet.Estimator.fault_free_wcet est.Pwcet.Estimator.task;
+          pbf = est.Pwcet.Estimator.pbf;
+          rung = Robust.Rung.to_string (Pwcet.Estimator.worst_rung est);
+          computed }
+    in
+    let flight, key, budget =
       match a.timeout_ms with
       | Some ms ->
-        (* Budgeted: private computation, admission control only. *)
-        let budget = Robust.Budget.make ~timeout:(float_of_int ms /. 1000.0) () in
-        let iv = ivar () in
-        let on_done outcome =
-          match outcome with
-          | Ok _ -> locked t (fun () -> t.computations <- t.computations + 1)
-          | Error _ -> ()
-        in
-        if run_job t ~budget ~program ~config ~identity a iv ~on_done then
-          respond t a ~computed:true (wait iv)
-        else shed t
-      | None -> (
-        let key = request_key ~identity a in
-        let claim =
-          locked t (fun () ->
-              match Hashtbl.find_opt t.results key with
-              | Some est -> `Warm est
-              | None -> (
-                match Hashtbl.find_opt t.inflight key with
-                | Some iv ->
-                  t.deduped <- t.deduped + 1;
-                  `Join iv
-                | None ->
-                  let iv = ivar () in
-                  Hashtbl.add t.inflight key iv;
-                  `Lead iv))
-        in
-        match claim with
-        | `Warm est -> respond t a ~computed:false (Ok est)
-        | `Join iv -> respond t a ~computed:false (wait iv)
-        | `Lead iv ->
-          let on_done outcome =
-            locked t (fun () ->
-                Hashtbl.remove t.inflight key;
-                match outcome with
-                | Ok est ->
-                  t.computations <- t.computations + 1;
-                  cache_result_locked t key est
-                | Error _ -> ())
-          in
-          if run_job t ~program ~config ~identity a iv ~on_done then
-            respond t a ~computed:true (wait iv)
-          else begin
-            (* Nobody else can be waiting: joiners found the entry only
-               while it existed, and its removal under the lock precedes
-               any chance of a response — fill the ivar anyway so a racy
-               joiner that slipped in between claim and shed still
-               unblocks. *)
-            locked t (fun () -> Hashtbl.remove t.inflight key);
-            fill iv (Error "request shed by admission control");
-            shed t
-          end)))
+        (* Budgeted: a private one-shot flight, admission control only. *)
+        ( Singleflight.create (Singleflight.cache ~lock:t.lock 0),
+          "",
+          Some (Robust.Budget.make ~timeout:(float_of_int ms /. 1000.0) ()) )
+      | None -> (t.results, request_key ~identity a, None)
+    in
+    pooled t flight key ~reply (counted t (compute t ~program ~config ~identity ?budget a))
 
 (* --- bulk schedulability campaigns ----------------------------------------- *)
 
@@ -338,22 +226,14 @@ let spec_of_sched (s : Protocol.sched) =
 
 (* One benchmark's estimate for a sched campaign, computed INLINE on
    the calling worker domain. Submitting it to the pool — or joining
-   an [inflight] entry whose leader is a pool job that may be queued
-   behind this very campaign — could deadlock a fully sched-occupied
-   pool, so the campaign path has its own in-flight table whose
-   leaders never need a pool slot. It still reads and feeds the shared
-   [results] cache (same [request_key]), so sched campaigns and
-   analyze traffic warm each other. *)
+   a [results] leader that is a pool job possibly queued behind this
+   very campaign — could deadlock a fully sched-occupied pool, so the
+   campaign path leads and joins in [bench_results], whose leaders
+   never need a pool slot. It still reads and feeds the shared result
+   cache (same [request_key]), so sched campaigns and analyze traffic
+   warm each other. *)
 let bench_estimate t ~config (spec : Sched.Campaign.spec) bench =
-  let entry =
-    match Benchmarks.Registry.find bench with
-    | Some entry -> entry
-    | None ->
-      raise
-        (Compute_error
-           (Printf.sprintf "unknown benchmark %S; the registry lists the valid names" bench))
-  in
-  let program = (Minic.Compile.compile entry.Benchmarks.Registry.program).Minic.Compile.program in
+  let program = ok_or_raise (program_of_bench bench) in
   let identity = Pwcet.Estimator.identity_of ~program ~config in
   let a =
     { (Protocol.default_analyze ~bench) with
@@ -363,49 +243,13 @@ let bench_estimate t ~config (spec : Sched.Campaign.spec) bench =
       ways = spec.ways;
       line = spec.line }
   in
-  let key = request_key ~identity a in
-  let claim =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.results key with
-        | Some est -> `Warm est
-        | None -> (
-          match Hashtbl.find_opt t.bench_inflight key with
-          | Some iv ->
-            t.deduped <- t.deduped + 1;
-            `Join iv
-          | None ->
-            let iv = ivar () in
-            Hashtbl.add t.bench_inflight key iv;
-            `Lead iv))
-  in
-  match claim with
-  | `Warm est -> est
-  | `Join iv -> (
-    match wait iv with Ok est -> est | Error msg -> raise (Compute_error msg))
-  | `Lead iv -> (
-    let outcome =
-      try
-        let task = prepared_task t ~program ~config ~identity a in
-        Ok
-          (Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism
-             ~engine:a.engine ~exact:a.exact ~jobs:1 ~impl:a.impl ?store:t.store ())
-      with
-      | Compute_error msg -> Error msg
-      | e -> Error (Printexc.to_string e)
-    in
-    locked t (fun () ->
-        Hashtbl.remove t.bench_inflight key;
-        match outcome with
-        | Ok est ->
-          t.computations <- t.computations + 1;
-          cache_result_locked t key est
-        | Error _ -> ());
-    fill iv outcome;
-    match outcome with Ok est -> est | Error msg -> raise (Compute_error msg))
+  inline_value
+    (Singleflight.run t.bench_results (request_key ~identity a) ~on_join:(dedup t)
+       (counted t (fun () -> estimate t ~program ~config ~identity a)))
 
 (* The campaign computation a worker domain runs. [jobs:1] as in
-   [compute]: request-level parallelism comes from the pool itself. *)
-let compute_sched t (spec : Sched.Campaign.spec) () =
+   [estimate]: request-level parallelism comes from the pool itself. *)
+let compute_sched t (spec : Sched.Campaign.spec) () : Protocol.sched_payload =
   let config = Cache.Config.make ~sets:spec.sets ~ways:spec.ways ~line_bytes:spec.line () in
   let laws =
     List.map
@@ -414,117 +258,32 @@ let compute_sched t (spec : Sched.Campaign.spec) () =
       (Sched.Campaign.distinct_benchmarks spec)
   in
   let c = Sched.Campaign.run_with_laws ~jobs:1 spec laws in
-  let passes =
-    List.length
-      (List.filter
-         (fun (r : Sched.Campaign.set_result) -> List.for_all snd r.passes)
-         c.Sched.Campaign.results)
-  in
-  let degraded =
-    List.length
-      (List.filter (fun (r : Sched.Campaign.set_result) -> r.degraded) c.Sched.Campaign.results)
-  in
-  { analyzed = spec.count; passes; degraded; digest = c.Sched.Campaign.digest }
+  let count p = List.length (List.filter p c.Sched.Campaign.results) in
+  { analyzed = spec.count;
+    passes = count (fun (r : Sched.Campaign.set_result) -> List.for_all snd r.passes);
+    degraded = count (fun (r : Sched.Campaign.set_result) -> r.degraded);
+    digest = c.Sched.Campaign.digest;
+    sched_computed = true }
 
+(* A campaign counts no computation of its own: its per-benchmark
+   estimates are counted (and deduped) in [bench_estimate]. *)
 let sched t (s : Protocol.sched) : Protocol.response =
   admit t;
-  let respond_sched ~computed (outcome : sched_outcome) : Protocol.response =
-    match outcome with
-    | Ok sum ->
-      Protocol.Sched_reply
-        { Protocol.analyzed = sum.analyzed;
-          passes = sum.passes;
-          degraded = sum.degraded;
-          digest = sum.digest;
-          sched_computed = computed }
-    | Error msg ->
-      locked t (fun () -> t.errors <- t.errors + 1);
-      Protocol.Error_reply msg
-  in
   match spec_of_sched s with
-  | Error msg ->
-    locked t (fun () -> t.errors <- t.errors + 1);
-    Protocol.Error_reply msg
-  | Ok spec -> (
-    let key = Store.Artifact.key (("service", "sched") :: Sched.Campaign.identity spec) in
-    let claim =
-      locked t (fun () ->
-          match Hashtbl.find_opt t.sched_results key with
-          | Some sum -> `Warm sum
-          | None -> (
-            match Hashtbl.find_opt t.sched_inflight key with
-            | Some iv ->
-              t.deduped <- t.deduped + 1;
-              `Join iv
-            | None ->
-              let iv = ivar () in
-              Hashtbl.add t.sched_inflight key iv;
-              `Lead iv))
-    in
-    match claim with
-    | `Warm sum -> respond_sched ~computed:false (Ok sum)
-    | `Join iv -> respond_sched ~computed:false (wait iv)
-    | `Lead iv ->
-      let job () =
-        let outcome =
-          try Ok (compute_sched t spec ())
-          with
-          | Compute_error msg -> Error msg
-          | e -> Error (Printexc.to_string e)
-        in
-        locked t (fun () ->
-            Hashtbl.remove t.sched_inflight key;
-            match outcome with
-            | Ok sum ->
-              if t.result_cache_max > 0 then begin
-                Hashtbl.replace t.sched_results key sum;
-                Queue.push key t.sched_order;
-                while
-                  Hashtbl.length t.sched_results > t.result_cache_max
-                  && not (Queue.is_empty t.sched_order)
-                do
-                  Hashtbl.remove t.sched_results (Queue.pop t.sched_order)
-                done
-              end
-            | Error _ -> ());
-        fill iv outcome
-      in
-      if Parallel.Workers.submit t.pool job then respond_sched ~computed:true (wait iv)
-      else begin
-        (* Same racy-joiner courtesy as the analyze path. *)
-        locked t (fun () -> Hashtbl.remove t.sched_inflight key);
-        fill iv (Error "request shed by admission control");
-        shed t
-      end)
+  | Error msg -> error_reply t msg
+  | Ok spec ->
+    pooled t t.scheds
+      (Store.Artifact.key (("service", "sched") :: Sched.Campaign.identity spec))
+      ~reply:(fun ~computed p -> Protocol.Sched_reply { p with Protocol.sched_computed = computed })
+      (fun () -> attempt (compute_sched t spec))
 
 (* --- bulk comparison grids -------------------------------------------------- *)
 
 let spec_of_grid (g : Protocol.grid) =
   try
-    let benchmarks =
-      List.map
-        (fun bench ->
-          match Benchmarks.Registry.find bench with
-          | None ->
-            raise
-              (Compute_error
-                 (Printf.sprintf "unknown benchmark %S; the registry lists the valid names"
-                    bench))
-          | Some entry -> (
-            try
-              ( bench,
-                (Minic.Compile.compile entry.Benchmarks.Registry.program)
-                  .Minic.Compile.program )
-            with Minic.Typecheck.Error msg | Minic.Compile.Error msg ->
-              raise (Compute_error msg)))
-        g.g_benchmarks
-    in
+    let benchmarks = List.map (fun b -> (b, ok_or_raise (program_of_bench b))) g.g_benchmarks in
     let configs =
-      List.map
-        (fun (sets, ways, line) ->
-          try Cache.Config.make ~sets ~ways ~line_bytes:line ()
-          with Invalid_argument msg -> raise (Compute_error msg))
-        g.g_geometries
+      List.map (fun (sets, ways, line) -> ok_or_raise (geometry ~sets ~ways ~line)) g.g_geometries
     in
     Ok
       { Grid.benchmarks; configs; mechanisms = g.g_mechanisms; pfail_grid = g.g_pfails;
@@ -536,83 +295,22 @@ let spec_of_grid (g : Protocol.grid) =
    and the one-pass sharing — not the work-stealing DAG — is what the
    daemon buys here. The store read-through means a repeat grid over a
    populated store replays its FMMs instead of recomputing. *)
-let compute_grid t (spec : Grid.spec) () =
+let compute_grid t (spec : Grid.spec) () : Protocol.grid_payload =
   let results = Grid.run ~jobs:1 ?store:t.store spec in
-  let failed =
-    List.length (List.filter (fun (_, r) -> Result.is_error r) results)
-  in
-  { cells = List.length results; failed; grid_digest = Grid.digest results }
+  { cells = List.length results;
+    failed = List.length (List.filter (fun (_, r) -> Result.is_error r) results);
+    grid_digest = Grid.digest results;
+    grid_computed = true }
 
 let grid t (g : Protocol.grid) : Protocol.response =
   admit t;
-  let respond_grid ~computed (outcome : grid_outcome) : Protocol.response =
-    match outcome with
-    | Ok sum ->
-      Protocol.Grid_reply
-        { Protocol.cells = sum.cells;
-          failed = sum.failed;
-          grid_digest = sum.grid_digest;
-          grid_computed = computed }
-    | Error msg ->
-      locked t (fun () -> t.errors <- t.errors + 1);
-      Protocol.Error_reply msg
-  in
   match spec_of_grid g with
-  | Error msg ->
-    locked t (fun () -> t.errors <- t.errors + 1);
-    Protocol.Error_reply msg
-  | Ok spec -> (
-    let key = Store.Artifact.key (("service", "grid") :: Grid.identity spec) in
-    let claim =
-      locked t (fun () ->
-          match Hashtbl.find_opt t.grid_results key with
-          | Some sum -> `Warm sum
-          | None -> (
-            match Hashtbl.find_opt t.grid_inflight key with
-            | Some iv ->
-              t.deduped <- t.deduped + 1;
-              `Join iv
-            | None ->
-              let iv = ivar () in
-              Hashtbl.add t.grid_inflight key iv;
-              `Lead iv))
-    in
-    match claim with
-    | `Warm sum -> respond_grid ~computed:false (Ok sum)
-    | `Join iv -> respond_grid ~computed:false (wait iv)
-    | `Lead iv ->
-      let job () =
-        let outcome =
-          try Ok (compute_grid t spec ())
-          with
-          | Compute_error msg -> Error msg
-          | e -> Error (Printexc.to_string e)
-        in
-        locked t (fun () ->
-            Hashtbl.remove t.grid_inflight key;
-            match outcome with
-            | Ok sum ->
-              t.computations <- t.computations + 1;
-              if t.result_cache_max > 0 then begin
-                Hashtbl.replace t.grid_results key sum;
-                Queue.push key t.grid_order;
-                while
-                  Hashtbl.length t.grid_results > t.result_cache_max
-                  && not (Queue.is_empty t.grid_order)
-                do
-                  Hashtbl.remove t.grid_results (Queue.pop t.grid_order)
-                done
-              end
-            | Error _ -> ());
-        fill iv outcome
-      in
-      if Parallel.Workers.submit t.pool job then respond_grid ~computed:true (wait iv)
-      else begin
-        (* Same racy-joiner courtesy as the analyze and sched paths. *)
-        locked t (fun () -> Hashtbl.remove t.grid_inflight key);
-        fill iv (Error "request shed by admission control");
-        shed t
-      end)
+  | Error msg -> error_reply t msg
+  | Ok spec ->
+    pooled t t.grids
+      (Store.Artifact.key (("service", "grid") :: Grid.identity spec))
+      ~reply:(fun ~computed p -> Protocol.Grid_reply { p with Protocol.grid_computed = computed })
+      (counted t (compute_grid t spec))
 
 let stats t : Protocol.stats_payload =
   let queued = Parallel.Workers.queued t.pool in

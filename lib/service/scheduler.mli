@@ -30,6 +30,14 @@
     tables across daemon restarts — a freshly started daemon over a
     populated store replays artifacts instead of recomputing them.
 
+    Every dedup layer is one {!Singleflight} flight, and all flights
+    share the scheduler's lock: prepared tasks, analyze estimates,
+    sched-campaign estimates (the estimate cache, with their own
+    in-flight table), campaigns and grids. [analyze], [sched] and
+    [grid] each decode the request, derive its key and hand the
+    flight's answer to one shared helper that maps it onto a reply,
+    {!Protocol.Overloaded} or {!Protocol.Error_reply}.
+
     All entry points are safe to call from any thread or domain; the
     caller's thread blocks until its response is ready. *)
 

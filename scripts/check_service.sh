@@ -6,7 +6,8 @@
 #   2. analyze round trip, then a warm repeat   -> identical pWCET line,
 #                                                  repeat not recomputed
 #   3. 6 concurrent identical requests          -> exactly 1 computation
-#      (client --bench + --delay-ms)               (stats delta)
+#      (client --bench + --delay-ms)               and 5 dedups (stats
+#                                                  deltas)
 #   4. SIGTERM                                  -> exit 130, socket file
 #                                                  removed, "clean
 #                                                  shutdown" reported,
@@ -61,6 +62,8 @@ stat_of() { awk -v k="$1" '$1 == k { print $3 }' "$2"; }
 "$TOOL" client -s "$SOCK" stats > "$WORK/stats1.out" || fail "stats failed"
 comp_delta=$(($(stat_of computations "$WORK/stats1.out") - $(stat_of computations "$WORK/stats0.out")))
 [ "$comp_delta" -eq 1 ] || fail "6 identical concurrent requests ran $comp_delta computations"
+dedup_delta=$(($(stat_of deduped "$WORK/stats1.out") - $(stat_of deduped "$WORK/stats0.out")))
+[ "$dedup_delta" -eq 5 ] || fail "6 identical concurrent requests deduped $dedup_delta, want 5"
 grep -q "(6 ok:" "$WORK/load.out" || fail "not every concurrent request was answered"
 
 # --- 4. SIGTERM: clean shutdown, consistent store ----------------------------

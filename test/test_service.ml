@@ -4,7 +4,9 @@
    concurrent requests run exactly one computation), admission-control
    shedding with the typed Overloaded response, budgeted requests
    riding the degradation ladder past the caches, and client/server
-   result identity with the direct Estimator pipeline. *)
+   result identity with the direct Estimator pipeline. The
+   single-flight combinator behind every daemon cache is tested on its
+   own first. *)
 
 module Json = Service.Json
 module Frame = Service.Frame
@@ -12,6 +14,7 @@ module Protocol = Service.Protocol
 module Scheduler = Service.Scheduler
 module Server = Service.Server
 module Client = Service.Client
+module Singleflight = Service.Singleflight
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -239,6 +242,135 @@ let test_protocol_validation () =
   | Ok (Protocol.Analyze a) ->
     check "default analyze" true (a = Protocol.default_analyze ~bench:"crc")
   | Ok _ | Error _ -> Alcotest.fail "minimal analyze request rejected"
+
+(* --- Singleflight ------------------------------------------------------------ *)
+
+let flight cap = Singleflight.create (Singleflight.cache ~lock:(Mutex.create ()) cap)
+
+let answer_str = function
+  | Singleflight.Warm v -> Printf.sprintf "warm %d" v
+  | Joined (Ok v) -> Printf.sprintf "joined %d" v
+  | Joined (Error e) -> Printf.sprintf "joined error %s" e
+  | Led (Ok v) -> Printf.sprintf "led %d" v
+  | Led (Error e) -> Printf.sprintf "led error %s" e
+  | Shed -> "shed"
+
+let check_answer msg want got = check_str msg want (answer_str got)
+
+(* Poll until [cond] holds; fails instead of hanging. *)
+let await msg cond =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting: %s" msg;
+    Thread.delay 0.001
+  done
+
+(* K threads on one key: the leader's computation holds until the
+   other K-1 have joined, so it runs exactly once and they share it. *)
+let test_sf_one_computation () =
+  let k = 6 in
+  let f = flight 4 in
+  let joined = Atomic.make 0 and runs = Atomic.make 0 in
+  let compute () =
+    Atomic.incr runs;
+    await "joiners" (fun () -> Atomic.get joined = k - 1);
+    Ok 42
+  in
+  let answers = Array.make k Singleflight.Shed in
+  let threads =
+    List.init k (fun i ->
+        Thread.create
+          (fun () ->
+            answers.(i) <- Singleflight.run f "key" ~on_join:(fun () -> Atomic.incr joined) compute)
+          ())
+  in
+  List.iter Thread.join threads;
+  check_int "compute ran once" 1 (Atomic.get runs);
+  let count want =
+    Array.fold_left (fun n a -> if answer_str a = want then n + 1 else n) 0 answers
+  in
+  check_int "one leader" 1 (count "led 42");
+  check_int "k-1 joiners" (k - 1) (count "joined 42");
+  check_answer "then warm" "warm 42" (Singleflight.run f "key" (fun () -> Ok 0))
+
+let test_sf_errors_not_cached () =
+  let f = flight 4 in
+  check_answer "error led" "led error boom" (Singleflight.run f "k" (fun () -> Error "boom"));
+  check_answer "exception becomes an error" "led error Not_found"
+    (Singleflight.run f "k" (fun () -> raise Not_found));
+  check_answer "recomputed after errors" "led 7" (Singleflight.run f "k" (fun () -> Ok 7));
+  check_answer "value cached" "warm 7" (Singleflight.run f "k" (fun () -> Ok 8))
+
+let test_sf_eviction () =
+  let f = flight 1 in
+  check_answer "a computed" "led 1" (Singleflight.run f "a" (fun () -> Ok 1));
+  check_answer "a warm" "warm 1" (Singleflight.run f "a" (fun () -> Ok 0));
+  check_answer "b computed" "led 2" (Singleflight.run f "b" (fun () -> Ok 2));
+  check_answer "a evicted" "led 3" (Singleflight.run f "a" (fun () -> Ok 3));
+  check_answer "b evicted" "led 4" (Singleflight.run f "b" (fun () -> Ok 4));
+  let off = flight 0 in
+  check_answer "cap 0 computes" "led 1" (Singleflight.run off "a" (fun () -> Ok 1));
+  check_answer "cap 0 caches nothing" "led 2" (Singleflight.run off "a" (fun () -> Ok 2));
+  match Singleflight.cache ~lock:(Mutex.create ()) (-1) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative capacity accepted"
+
+(* A refusing [submit]: a joiner that raced in between the claim and
+   the refusal gets the typed shed error, and the key is free again. *)
+let test_sf_shed () =
+  let f = flight 4 in
+  let joined = Atomic.make false and finished = Atomic.make false in
+  let joiner_answer = ref Singleflight.Shed in
+  let joiner = ref None in
+  let submit _job =
+    joiner :=
+      Some
+        (Thread.create
+           (fun () ->
+             joiner_answer :=
+               Singleflight.run f "k" ~on_join:(fun () -> Atomic.set joined true) (fun () ->
+                   Ok 0);
+             Atomic.set finished true)
+           ());
+    await "racy joiner" (fun () -> Atomic.get joined);
+    false
+  in
+  check_answer "leader shed" "shed" (Singleflight.run f "k" ~submit (fun () -> Ok 1));
+  await "joiner unblocked" (fun () -> Atomic.get finished);
+  Thread.join (Option.get !joiner);
+  check_answer "joiner unblocked with the shed error"
+    ("joined error " ^ Singleflight.shed_error)
+    !joiner_answer;
+  check_answer "key free after the shed" "led 2" (Singleflight.run f "k" (fun () -> Ok 2))
+
+(* Two flights over one cache share completed values but keep separate
+   in-flight tables: neither joins the other's running leader. *)
+let test_sf_shared_cache () =
+  let cache = Singleflight.cache ~lock:(Mutex.create ()) 4 in
+  let f1 = Singleflight.create cache and f2 = Singleflight.create cache in
+  check_answer "f1 computes" "led 1" (Singleflight.run f1 "a" (fun () -> Ok 1));
+  check_answer "f2 sees f1's value" "warm 1" (Singleflight.run f2 "a" (fun () -> Ok 0));
+  let started = Atomic.make false and release = Atomic.make false in
+  let first = ref Singleflight.Shed in
+  let leader =
+    Thread.create
+      (fun () ->
+        first :=
+          Singleflight.run f1 "b" (fun () ->
+              Atomic.set started true;
+              await "release" (fun () -> Atomic.get release);
+              Ok 2))
+      ()
+  in
+  await "f1 leader running" (fun () -> Atomic.get started);
+  check_answer "f2 leads its own, never joins f1" "led 3"
+    (Singleflight.run f2 "b" ~on_join:(fun () -> Alcotest.fail "f2 joined f1's leader")
+       (fun () -> Ok 3));
+  Atomic.set release true;
+  Thread.join leader;
+  check_answer "f1's leader finishes" "led 2" !first;
+  check_answer "latest completion cached for both" "warm 2"
+    (Singleflight.run f2 "b" (fun () -> Ok 0))
 
 (* --- a live in-process daemon ---------------------------------------------- *)
 
@@ -661,6 +793,56 @@ let test_result_cache () =
       check_int "identical pwcet" first.Protocol.pwcet second.Protocol.pwcet;
       check_int "two computations" 2 (daemon_stats ~socket).Protocol.computations)
 
+(* Per-op [stats] deltas, pinned: a cold sched campaign counts one
+   computation per distinct benchmark estimate and its warm repeat
+   none; a cold grid counts one computation and its warm repeat none;
+   nothing here joins, so nothing is deduped. With the result caches
+   disabled, repeats recompute. *)
+let test_bulk_stats_deltas () =
+  let sched_req =
+    { Protocol.default_sched with
+      Protocol.count = 4;
+      n_tasks = 2;
+      utilisation = 0.6;
+      seed = 11;
+      s_sets = 8;
+      s_ways = 2;
+      benchmarks = [ "fibcall"; "bs" ] }
+  in
+  let grid_req =
+    { (Protocol.default_grid ~benchmarks:[ "fibcall"; "bs" ]) with
+      Protocol.g_geometries = [ (8, 2, 16) ];
+      g_pfails = [ 1e-5; 1e-4 ] }
+  in
+  let computed socket req =
+    match Client.request ~socket req with
+    | Ok (Protocol.Sched_reply r) -> r.Protocol.sched_computed
+    | Ok (Protocol.Grid_reply r) -> r.Protocol.grid_computed
+    | Ok other -> Alcotest.failf "unexpected response: %s" (Protocol.response_to_string other)
+    | Error e -> Alcotest.failf "request failed: %s" e
+  in
+  (* Sends [req]; checks its reply flag and the two counters' deltas. *)
+  let step socket label req ~want_computed ~computations ~deduped =
+    let s0 = daemon_stats ~socket in
+    check (label ^ ": computed flag") want_computed (computed socket req);
+    let s1 = daemon_stats ~socket in
+    check_int (label ^ ": computations delta") computations
+      (s1.Protocol.computations - s0.Protocol.computations);
+    check_int (label ^ ": deduped delta") deduped (s1.Protocol.deduped - s0.Protocol.deduped);
+    check_int (label ^ ": no errors") 0 s1.Protocol.errors
+  in
+  let sched = Protocol.Sched sched_req and grid = Protocol.Grid grid_req in
+  with_server (fun socket _scheduler ->
+      step socket "cold sched" sched ~want_computed:true ~computations:2 ~deduped:0;
+      step socket "warm sched" sched ~want_computed:false ~computations:0 ~deduped:0;
+      step socket "cold grid" grid ~want_computed:true ~computations:1 ~deduped:0;
+      step socket "warm grid" grid ~want_computed:false ~computations:0 ~deduped:0);
+  with_server ~result_cache_max:0 (fun socket _scheduler ->
+      step socket "sched" sched ~want_computed:true ~computations:2 ~deduped:0;
+      step socket "uncached sched" sched ~want_computed:true ~computations:2 ~deduped:0;
+      step socket "grid" grid ~want_computed:true ~computations:1 ~deduped:0;
+      step socket "uncached grid" grid ~want_computed:true ~computations:1 ~deduped:0)
+
 let test_warm_requests_consistent () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -882,6 +1064,13 @@ let () =
         ; Alcotest.test_case "sched roundtrip" `Quick test_protocol_sched_roundtrip
         ; Alcotest.test_case "validation" `Quick test_protocol_validation
         ] )
+    ; ( "singleflight",
+        [ Alcotest.test_case "K callers -> 1 computation" `Quick test_sf_one_computation
+        ; Alcotest.test_case "errors not cached" `Quick test_sf_errors_not_cached
+        ; Alcotest.test_case "FIFO eviction, cap 0" `Quick test_sf_eviction
+        ; Alcotest.test_case "shed frees key, unblocks joiner" `Quick test_sf_shed
+        ; Alcotest.test_case "shared cache, separate flights" `Quick test_sf_shared_cache
+        ] )
     ; ( "daemon",
         [ Alcotest.test_case "round-trip identity" `Quick test_server_roundtrip_identity
         ; Alcotest.test_case "typed errors" `Quick test_server_bad_requests
@@ -894,6 +1083,7 @@ let () =
         ; Alcotest.test_case "grid bulk identity" `Quick test_grid_bulk_identity
         ; Alcotest.test_case "budgeted request degrades" `Quick test_budgeted_request_degrades
         ; Alcotest.test_case "result cache" `Quick test_result_cache
+        ; Alcotest.test_case "bulk stats deltas" `Quick test_bulk_stats_deltas
         ; Alcotest.test_case "warm requests consistent" `Quick test_warm_requests_consistent
         ] )
     ; ( "chaos",
